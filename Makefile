@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race chaos recover torture fuzz bench benchdiff bench-large bench-stream serve-smoke verify
+.PHONY: build test race chaos recover torture fuzz bench benchdiff bench-large bench-stream serve-smoke servebench-check verify
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,13 @@ fuzz:
 # SIGTERMs and asserts a clean graceful drain.
 serve-smoke:
 	sh scripts/serve-smoke.sh
+
+# The serving benchmark is its own module (deptree/servebench), so root
+# `go test ./...` never builds it: vet and short-test it here, so a
+# renamed server symbol it compiles against fails CI, not the next
+# benchmark run.
+servebench-check:
+	cd servebench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Benchmark pass: every benchmark runs once (-benchtime=1x keeps CI
 # cheap), the text output lands in BENCH_4.txt and cmd/benchjson converts

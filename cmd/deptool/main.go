@@ -348,11 +348,6 @@ func cmdDiscover(args []string) error {
 	return finishObs(obsDone, runErr)
 }
 
-// parseFD parses "a,b->c" against a schema.
-func parseFD(schema *relation.Schema, spec string) (fd.FD, error) {
-	return server.ParseFD(schema, spec)
-}
-
 func cmdValidate(args []string) error {
 	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
 	in := fs.String("in", "", "input CSV")
@@ -413,7 +408,7 @@ func cmdRepair(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := parseFD(r.Schema(), *fdSpec)
+	f, err := server.ParseFD(r.Schema(), *fdSpec)
 	if err != nil {
 		return err
 	}
@@ -597,11 +592,4 @@ func cmdProfile(args []string) error {
 		runErr = errPartial
 	}
 	return finishObs(obsDone, runErr)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -12,6 +12,7 @@ import (
 
 	"deptree/internal/gen"
 	"deptree/internal/relation"
+	"deptree/internal/server"
 )
 
 // capture runs f with stdout redirected and returns what it printed.
@@ -98,17 +99,17 @@ func TestLoadCSVInfersKinds(t *testing.T) {
 
 func TestParseFD(t *testing.T) {
 	r := gen.Table1()
-	f, err := parseFD(r.Schema(), "address, name -> region")
+	f, err := server.ParseFD(r.Schema(), "address, name -> region")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.LHS.Len() != 2 || f.RHS.Len() != 1 {
 		t.Errorf("parsed %v", f)
 	}
-	if _, err := parseFD(r.Schema(), "no arrow"); err == nil {
+	if _, err := server.ParseFD(r.Schema(), "no arrow"); err == nil {
 		t.Error("missing arrow accepted")
 	}
-	if _, err := parseFD(r.Schema(), "bogus->region"); err == nil {
+	if _, err := server.ParseFD(r.Schema(), "bogus->region"); err == nil {
 		t.Error("unknown attribute accepted")
 	}
 }

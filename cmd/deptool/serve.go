@@ -14,7 +14,7 @@ import (
 	"deptree/internal/server"
 )
 
-// cmdServe runs the hardened discovery service: the five discoverers,
+// cmdServe runs the hardened discovery service: every discoverer,
 // validate and repair behind HTTP with admission control, per-endpoint
 // circuit breakers and graceful drain. It serves until rootCtx is
 // cancelled (SIGTERM/SIGINT), then drains: /readyz flips to 503, new

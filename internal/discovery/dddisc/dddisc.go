@@ -214,10 +214,3 @@ func quantileThresholds(dist []float64, k int) []float64 {
 	sort.Float64s(out)
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -11,6 +11,7 @@ package registry
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"deptree/internal/deps/dd"
 	"deptree/internal/deps/fd"
@@ -96,8 +97,24 @@ type Output struct {
 	// Partial marks a budget/cancellation/panic-truncated run; Lines is
 	// then a deterministic prefix of the full run's lines.
 	Partial bool
-	// Reason is the stable stop token; empty when complete.
+	// Reason is the stable stop token ("deadline", "max-tasks",
+	// "cancelled", "panic: ..."); empty when complete.
 	Reason string
+}
+
+// Text renders the output exactly as `deptool discover` writes it to
+// stdout: one dependency per line, then the PARTIAL marker line if the
+// run was truncated.
+func (o Output) Text() string {
+	var b strings.Builder
+	for _, line := range o.Lines {
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+	if o.Partial {
+		fmt.Fprintf(&b, "PARTIAL: %s\n", o.Reason)
+	}
+	return b.String()
 }
 
 // Algo is one registered discoverer.
@@ -143,8 +160,8 @@ func render[T fmt.Stringer](xs []T, partial bool, reason string) Output {
 func lastCol(r *relation.Relation) int { return r.Cols() - 1 }
 
 // algos is the registry, in the order the CLI documents the names: the
-// five original engine-wired discoverers first, then the rest of the
-// family tree.
+// FD, soft-FD, DC and OD discoverers first, then the rest of the family
+// tree. Every entry runs on the engine (workers, budget, metrics).
 var algos = []Algo{
 	{
 		Name: "tane", Class: "FD",

@@ -80,7 +80,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, maxInt(opts.Workers, 1), 0, opts.Budget, reg)
+	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
 	defer pool.Close()
 
 	run := reg.StartSpan(obs.KindRun, "sddisc")
@@ -126,13 +126,6 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		run.SetAttr("stop", res.Reason)
 	}
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FitInterval returns the tightest gap interval g containing at least

@@ -71,10 +71,11 @@ func (s State) Terminal() bool {
 }
 
 // Spec is one job's full submission: what to run and under which
-// resolved budget. The serving layer resolves (clamps) the budget knobs
-// at submit time and bakes them in, so a WAL replay after a crash
-// re-runs the job under exactly the envelope the original admission
-// granted.
+// resolved budget. The serving layer describes its synchronous
+// discover, validate and repair requests with the same type. It resolves
+// (clamps) the budget knobs at submit time and bakes them in, so a WAL
+// replay after a crash re-runs the job under exactly the envelope the
+// original admission granted.
 type Spec struct {
 	// Kind selects the runner: "discover", "validate" or "repair".
 	Kind string `json:"kind"`

@@ -90,7 +90,7 @@ func EditDistance(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
@@ -195,7 +195,7 @@ func OSADistance(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			d := min3(rows[i-1][j]+1, rows[i][j-1]+1, rows[i-1][j-1]+cost)
+			d := min(rows[i-1][j]+1, rows[i][j-1]+1, rows[i-1][j-1]+cost)
 			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
 				if t := rows[i-2][j-2] + 1; t < d {
 					d = t
@@ -340,26 +340,9 @@ func ForKind(k relation.Kind) Metric {
 	return Absolute{}
 }
 
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
 func abs(x int) int {
 	if x < 0 {
 		return -x
 	}
 	return x
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,11 +9,8 @@ import (
 	"strconv"
 	"time"
 
-	"deptree/internal/deps/fd"
-	"deptree/internal/discovery/registry"
 	"deptree/internal/engine"
 	"deptree/internal/jobs"
-	"deptree/internal/relation"
 )
 
 // maxJobWait caps a GET /v1/jobs/{id}?wait= long-poll so a client cannot
@@ -43,20 +40,16 @@ type JobRequest struct {
 	RunKnobs
 }
 
-// runJob executes one job attempt through the same admission gate and
-// run-and-render path the synchronous endpoints use, so a job's complete
+// runJob executes one job attempt through the same prepare step and
+// admission gate the synchronous endpoints use, so a job's complete
 // result is byte-identical to the equivalent direct request. Admission
 // saturation is backpressure (the manager re-queues with growing backoff
 // and never burns retry budget — the queue exists to absorb exactly that
 // spike); malformed specs and run errors are terminal.
 func (s *Server) runJob(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
-	rel, err := relation.ReadCSVAuto("job", []byte(spec.CSV), relation.Limits{
-		MaxBytes:      s.cfg.MaxInputBytes,
-		MaxRows:       s.cfg.MaxRows,
-		MaxFieldBytes: s.cfg.MaxFieldBytes,
-	})
-	if err != nil {
-		return jobs.Result{}, fmt.Errorf("invalid csv: %w", err)
+	run, e := s.prepare(spec)
+	if e != nil {
+		return jobs.Result{}, errors.New(e.msg)
 	}
 	weight := s.adm.clampWeight(int64(spec.Workers))
 	if err := s.adm.acquire(ctx, weight); err != nil {
@@ -68,44 +61,18 @@ func (s *Server) runJob(ctx context.Context, spec jobs.Spec) (jobs.Result, error
 	}
 	defer s.adm.release(weight)
 
-	p := RunParams{
+	rp, e := run(ctx, RunParams{
 		Workers: spec.Workers,
 		Budget: engine.Budget{
 			Timeout:  time.Duration(spec.TimeoutMs) * time.Millisecond,
 			MaxTasks: spec.MaxTasks,
 		},
-		MaxErr:     spec.MaxErr,
-		SampleRows: spec.SampleRows,
-		SampleSeed: spec.SampleSeed,
-		Obs:        s.reg,
+		Obs: s.reg,
+	})
+	if e != nil {
+		return jobs.Result{}, errors.New(e.msg)
 	}
-	switch spec.Kind {
-	case "discover":
-		out, err := RunDiscover(ctx, rel, spec.Algo, p)
-		if err != nil {
-			return jobs.Result{}, err
-		}
-		return jobs.Result{Lines: out.Lines, Partial: out.Partial, Reason: out.Reason}, nil
-	case "validate":
-		fds, err := ParseFDList(rel.Schema(), spec.FDs)
-		if err != nil {
-			return jobs.Result{}, err
-		}
-		out := RunValidate(ctx, rel, fds, p)
-		return jobs.Result{Report: out.Text(), Partial: out.Partial, Reason: out.Reason}, nil
-	case "repair":
-		f, err := ParseFD(rel.Schema(), spec.FD)
-		if err != nil {
-			return jobs.Result{}, err
-		}
-		out, rerr := RunRepair(ctx, rel, []fd.FD{f}, p)
-		if rerr != nil {
-			return jobs.Result{}, rerr
-		}
-		return jobs.Result{CSV: out.CSV, Changes: out.Changes, Partial: out.Partial, Reason: out.Reason}, nil
-	default:
-		return jobs.Result{}, fmt.Errorf("unknown job kind %q", spec.Kind)
-	}
+	return rp.result(), nil
 }
 
 // jobsOrFail returns the manager or writes the 503 explaining why the
@@ -129,93 +96,53 @@ func writeJobView(w http.ResponseWriter, status int, v jobs.View) {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.jobs.requests").Inc()
-	errCount := s.reg.Counter("server.jobs.errors")
-	fail := func(e *apiError) {
-		errCount.Inc()
-		writeAPIError(w, e)
-	}
+	ep := s.jobsEP
+	ep.requests.Inc()
 	m := s.jobsOrFail(w)
 	if m == nil {
-		errCount.Inc()
+		ep.errors.Inc()
 		return
 	}
 	if s.draining.Load() {
-		fail(&apiError{status: http.StatusServiceUnavailable, code: "draining",
-			msg: "server is draining", retryAfter: s.lat.retryAfterSeconds()})
+		ep.fail(w, s.drainingErr())
 		return
 	}
 	var req JobRequest
 	if e := s.decodeBody(w, r, &req); e != nil {
-		fail(e)
+		ep.fail(w, e)
 		return
-	}
-	switch req.Kind {
-	case "discover":
-		if !validAlgo[req.Algo] {
-			fail(&apiError{status: http.StatusNotFound, code: "unknown_algo",
-				msg: fmt.Sprintf("unknown algorithm %q (want one of %v)", req.Algo, Algorithms())})
-			return
-		}
-		if req.SampleRows > 0 {
-			if a, ok := registry.Lookup(req.Algo); !ok || !a.Sampling {
-				fail(&apiError{status: http.StatusBadRequest, code: "sampling_unsupported",
-					msg: fmt.Sprintf("algorithm %q does not support sample-then-verify (sample_rows)", req.Algo)})
-				return
-			}
-		}
-	case "validate", "repair":
-		// Rule specs are parsed below, against the schema.
-	default:
-		fail(&apiError{status: http.StatusBadRequest, code: "invalid_kind",
-			msg: fmt.Sprintf("unknown job kind %q (want discover, validate or repair)", req.Kind)})
-		return
-	}
-	// Malformed input is a terminal submit-time rejection, never a
-	// queued job: parse the CSV (under the server's ingestion limits)
-	// and the rule specs now.
-	rel, e := s.parseCSV("job", req.CSV)
-	if e != nil {
-		fail(e)
-		return
-	}
-	switch req.Kind {
-	case "validate":
-		if _, err := ParseFDList(rel.Schema(), req.FDs); err != nil {
-			fail(&apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()})
-			return
-		}
-	case "repair":
-		if _, err := ParseFD(rel.Schema(), req.FD); err != nil {
-			fail(&apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()})
-			return
-		}
 	}
 	bs := s.resolveBudget(req.RunKnobs, r.Header)
 	spec := jobs.Spec{
 		Kind: req.Kind, Algo: req.Algo, CSV: req.CSV,
 		FDs: req.FDs, FD: req.FD, MaxErr: req.MaxErr,
+		SampleRows: req.SampleRows, SampleSeed: req.SampleSeed,
 		Workers:   bs.workers,
 		TimeoutMs: bs.timeout.Milliseconds(),
 		MaxTasks:  bs.maxTasks,
+	}
+	// Malformed input is a terminal submit-time rejection, never a
+	// queued job.
+	if _, e := s.prepare(spec); e != nil {
+		ep.fail(w, e)
+		return
 	}
 	v, err := m.Submit(spec, r.Header.Get("Idempotency-Key"))
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull):
-			fail(&apiError{status: http.StatusTooManyRequests, code: "jobs_queue_full",
+			ep.fail(w, &apiError{status: http.StatusTooManyRequests, code: "jobs_queue_full",
 				msg: "job queue full, retry later", retryAfter: s.lat.retryAfterSeconds()})
 		case errors.Is(err, jobs.ErrDraining):
-			fail(&apiError{status: http.StatusServiceUnavailable, code: "draining",
-				msg: "server is draining", retryAfter: s.lat.retryAfterSeconds()})
+			ep.fail(w, s.drainingErr())
 		default:
 			var tr jobs.Transient
 			if errors.As(err, &tr) {
-				fail(&apiError{status: http.StatusServiceUnavailable, code: "store_unavailable",
+				ep.fail(w, &apiError{status: http.StatusServiceUnavailable, code: "store_unavailable",
 					msg: "job store write failed: " + err.Error(), retryAfter: 1})
 				return
 			}
-			fail(&apiError{status: http.StatusBadRequest, code: "invalid_job", msg: err.Error()})
+			ep.fail(w, &apiError{status: http.StatusBadRequest, code: "invalid_job", msg: err.Error()})
 		}
 		return
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"strconv"
 	"time"
 
+	"deptree/internal/deps/fd"
+	"deptree/internal/jobs"
 	"deptree/internal/relation"
 )
 
@@ -212,4 +215,71 @@ func (s *Server) resolveBudget(k RunKnobs, h http.Header) budgetSpec {
 		spec.maxTasks = maxTasks
 	}
 	return spec
+}
+
+// runner is a prepared request's run: it executes under the params and
+// returns the reply, or the error of a run that produced none.
+type runner func(ctx context.Context, p RunParams) (reply, *apiError)
+
+// prepare turns a spec into its run; it is the one place a discover,
+// validate or repair request is checked. The sync handlers, job submit
+// and job execution all call it. Spec fields are checked first (kind,
+// discoverer, sample knobs), so a request rejected on them never pays
+// for ingest; then the CSV is parsed under the ingestion limits and the
+// rule specs against its schema. The run closes over the relation.
+func (s *Server) prepare(spec jobs.Spec) (runner, *apiError) {
+	switch spec.Kind {
+	case "discover":
+		a, err := lookupAlgo(spec.Algo, spec.SampleRows)
+		if errors.Is(err, ErrUnknownAlgo) {
+			return nil, unknownAlgo(spec.Algo)
+		}
+		if err != nil {
+			return nil, &apiError{status: http.StatusBadRequest, code: "sampling_unsupported",
+				msg: fmt.Sprintf("algorithm %q does not support sample-then-verify (sample_rows)", spec.Algo)}
+		}
+		rel, e := s.parseCSV("request", spec.CSV)
+		if e != nil {
+			return nil, e
+		}
+		return func(ctx context.Context, p RunParams) (reply, *apiError) {
+			p.MaxErr, p.SampleRows, p.SampleSeed = spec.MaxErr, spec.SampleRows, spec.SampleSeed
+			out := a.Run(ctx, rel, p)
+			return discoverResponse{Algo: spec.Algo, Count: len(out.Lines), Results: nonNil(out.Lines),
+				Partial: out.Partial, Reason: out.Reason, out: out}, nil
+		}, nil
+	case "validate":
+		rel, e := s.parseCSV("request", spec.CSV)
+		if e != nil {
+			return nil, e
+		}
+		fds, err := ParseFDList(rel.Schema(), spec.FDs)
+		if err != nil {
+			return nil, &apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()}
+		}
+		return func(ctx context.Context, p RunParams) (reply, *apiError) {
+			out := RunValidate(ctx, rel, fds, p)
+			return validateResponse{Report: out.Report, Checked: out.Completed, Rules: out.Rules,
+				Partial: out.Partial, Reason: out.Reason, out: out}, nil
+		}, nil
+	case "repair":
+		rel, e := s.parseCSV("request", spec.CSV)
+		if e != nil {
+			return nil, e
+		}
+		f, err := ParseFD(rel.Schema(), spec.FD)
+		if err != nil {
+			return nil, &apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()}
+		}
+		return func(ctx context.Context, p RunParams) (reply, *apiError) {
+			out, err := RunRepair(ctx, rel, []fd.FD{f}, p)
+			if err != nil {
+				return nil, &apiError{status: http.StatusInternalServerError, code: "encode_failed", msg: err.Error()}
+			}
+			return repairResponse{CSV: out.CSV, Changes: nonNil(out.Changes),
+				Partial: out.Partial, Reason: out.Reason}, nil
+		}, nil
+	}
+	return nil, &apiError{status: http.StatusBadRequest, code: "invalid_kind",
+		msg: fmt.Sprintf("unknown job kind %q (want discover, validate or repair)", spec.Kind)}
 }

@@ -1,6 +1,6 @@
 // Package server is the HTTP serving layer of the discovery engine: a
-// JSON API over the five engine-wired discoverers plus validation and
-// repair, hardened for the long-tailed, memory-hungry requests dependency
+// JSON API over every registered discoverer plus validation and repair,
+// hardened for the long-tailed, memory-hungry requests dependency
 // discovery produces (a TANE lattice or FASTDC evidence set can blow up
 // on a small input).
 //
@@ -39,8 +39,6 @@ import (
 	"deptree/internal/deps"
 	"deptree/internal/deps/fd"
 	"deptree/internal/discovery/registry"
-	"deptree/internal/engine"
-	"deptree/internal/obs"
 	"deptree/internal/relation"
 )
 
@@ -58,50 +56,10 @@ var ErrSamplingUnsupported = errors.New("server: sampling not supported")
 func Algorithms() []string { return registry.Names() }
 
 // RunParams carries the execution knobs shared by every runner.
-type RunParams struct {
-	// Workers is the engine worker count (<= 0 selects 1).
-	Workers int
-	// Budget bounds the run; exhausted budgets degrade to a Partial
-	// output, never an error.
-	Budget engine.Budget
-	// MaxErr is the g3 budget for approximate FDs (tane only).
-	MaxErr float64
-	// SampleRows > 0 selects sample-then-verify mode on discoverers that
-	// support it: candidates mined on a deterministic SampleRows-row
-	// sample, verified exactly on the full relation before emission.
-	SampleRows int
-	// SampleSeed seeds the deterministic sample permutation.
-	SampleSeed int64
-	// Obs optionally receives the run's metrics; nil is a no-op.
-	Obs *obs.Registry
-}
+type RunParams = registry.RunOptions
 
 // DiscoverOutput is one discovery run rendered as the CLI renders it.
-type DiscoverOutput struct {
-	// Lines holds one rendered dependency per line, in the CLI's order.
-	Lines []string
-	// Partial marks a budget/cancellation/panic-truncated run; Lines is
-	// then the same deterministic prefix the CLI prints.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks",
-	// "cancelled", "panic: ..."); empty when complete.
-	Reason string
-}
-
-// Text renders the output exactly as `deptool discover` writes it to
-// stdout: one dependency per line, then the PARTIAL marker line if the
-// run was truncated.
-func (o DiscoverOutput) Text() string {
-	var b strings.Builder
-	for _, line := range o.Lines {
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
-	if o.Partial {
-		fmt.Fprintf(&b, "PARTIAL: %s\n", o.Reason)
-	}
-	return b.String()
-}
+type DiscoverOutput = registry.Output
 
 // RunDiscover runs one named discoverer over the relation under the
 // params, with the exact option mapping of `deptool discover` (fastdc
@@ -109,22 +67,25 @@ func (o DiscoverOutput) Text() string {
 // full table). The returned lines are deterministic for any worker
 // count, including under a MaxTasks budget.
 func RunDiscover(ctx context.Context, r *relation.Relation, algo string, p RunParams) (DiscoverOutput, error) {
+	a, err := lookupAlgo(algo, p.SampleRows)
+	if err != nil {
+		return DiscoverOutput{}, err
+	}
+	return a.Run(ctx, r, p), nil
+}
+
+// lookupAlgo resolves a discoverer name and checks the sample knobs
+// against it: the one algorithm and sampling check behind RunDiscover
+// and the server's prepare.
+func lookupAlgo(algo string, sampleRows int) (registry.Algo, error) {
 	a, ok := registry.Lookup(algo)
 	if !ok {
-		return DiscoverOutput{}, fmt.Errorf("%w %q", ErrUnknownAlgo, algo)
+		return a, fmt.Errorf("%w %q", ErrUnknownAlgo, algo)
 	}
-	if p.SampleRows > 0 && !a.Sampling {
-		return DiscoverOutput{}, fmt.Errorf("%w by %q", ErrSamplingUnsupported, algo)
+	if sampleRows > 0 && !a.Sampling {
+		return a, fmt.Errorf("%w by %q", ErrSamplingUnsupported, algo)
 	}
-	res := a.Run(ctx, r, registry.RunOptions{
-		Workers:    p.Workers,
-		Budget:     p.Budget,
-		MaxErr:     p.MaxErr,
-		SampleRows: p.SampleRows,
-		SampleSeed: p.SampleSeed,
-		Obs:        p.Obs,
-	})
-	return DiscoverOutput{Lines: res.Lines, Partial: res.Partial, Reason: res.Reason}, nil
+	return a, nil
 }
 
 // ParseFD parses one "lhs1,lhs2->rhs" spec against a schema.

@@ -87,12 +87,15 @@ func TestDiscoverSampledSubsetOfFull(t *testing.T) {
 }
 
 // TestJobSamplingKnobs: sample knobs ride through job submission — an
-// unsupported algo is rejected at submit time, and the knobs change the
-// result-cache identity (same CSV, different sample → distinct jobs).
+// unsupported algo is rejected at submit time, a sampled job returns
+// exactly the synchronous sampled reply, and the knobs change the
+// result-cache identity (a sampled submit after a full one of the same
+// CSV is a fresh run, not a cache hit of the full result).
 func TestJobSamplingKnobs(t *testing.T) {
+	csv := hotelsCSV(t)
 	_, ts := newTestServer(t, Config{Workers: 2})
 	status, body := post(t, ts.URL+"/v1/jobs",
-		mustJSON(t, JobRequest{Kind: "discover", Algo: "cords", CSV: smallCSV, SampleRows: 2}))
+		mustJSON(t, JobRequest{Kind: "discover", Algo: "cords", CSV: csv, SampleRows: 2}))
 	if status != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400\n%s", status, body)
 	}
@@ -126,11 +129,28 @@ func TestJobSamplingKnobs(t *testing.T) {
 		return v
 	}
 
-	fullJob := submit(JobRequest{Kind: "discover", Algo: "tane", CSV: smallCSV})
-	sampled := submit(JobRequest{Kind: "discover", Algo: "tane", CSV: smallCSV, SampleRows: 2, SampleSeed: 5})
-	fullDone, sampledDone := wait(fullJob.ID), wait(sampled.ID)
+	status, body = post(t, ts.URL+"/v1/discover/tane",
+		mustJSON(t, DiscoverRequest{CSV: csv, SampleRows: 3, SampleSeed: 5}))
+	if status != http.StatusOK {
+		t.Fatalf("sync sampled status = %d\n%s", status, body)
+	}
+	var syncSampled discoverResponse
+	if err := json.Unmarshal(body, &syncSampled); err != nil {
+		t.Fatal(err)
+	}
+
+	fullDone := wait(submit(JobRequest{Kind: "discover", Algo: "tane", CSV: csv}).ID)
+	sampled := submit(JobRequest{Kind: "discover", Algo: "tane", CSV: csv, SampleRows: 3, SampleSeed: 5})
+	if sampled.CacheHit {
+		t.Error("sampled submit after a full one was served from the full run's cache entry")
+	}
+	sampledDone := wait(sampled.ID)
 	if fullDone.State != jobs.StateDone || sampledDone.State != jobs.StateDone {
 		t.Fatalf("job states: full=%s sampled=%s", fullDone.State, sampledDone.State)
+	}
+	if got, want := strings.Join(sampledDone.Result.Lines, "\n"), strings.Join(syncSampled.Results, "\n"); got != want {
+		t.Errorf("sampled job lines (%d) differ from the sync sampled reply (%d):\n%s\nwant\n%s",
+			len(sampledDone.Result.Lines), len(syncSampled.Results), got, want)
 	}
 	fullSet := map[string]bool{}
 	for _, l := range fullDone.Result.Lines {
@@ -145,8 +165,8 @@ func TestJobSamplingKnobs(t *testing.T) {
 	// Distinct cache identity: a re-submission with the same sample knobs
 	// may reuse the cached result, but the full-mode and sampled specs
 	// must never collide.
-	specFull := jobs.Spec{Kind: "discover", Algo: "tane", CSV: smallCSV}
-	specSampled := jobs.Spec{Kind: "discover", Algo: "tane", CSV: smallCSV, SampleRows: 2, SampleSeed: 5}
+	specFull := jobs.Spec{Kind: "discover", Algo: "tane", CSV: csv}
+	specSampled := jobs.Spec{Kind: "discover", Algo: "tane", CSV: csv, SampleRows: 3, SampleSeed: 5}
 	fpFull, err := specFull.Fingerprint()
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,8 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"deptree/internal/deps/fd"
-	"deptree/internal/discovery/registry"
 	"deptree/internal/engine"
 	"deptree/internal/jobs"
 	"deptree/internal/obs"
@@ -133,14 +130,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// endpoints are the guarded POST endpoints, each with its own breaker.
-func endpoints() []string {
+// endpointNames are the guarded POST endpoints, each with its own
+// breaker.
+func endpointNames() []string {
 	eps := []string{"validate", "repair"}
 	for _, a := range Algorithms() {
 		eps = append(eps, "discover."+a)
 	}
-	eps = append(eps, streamEndpoints()...)
-	return eps
+	return append(eps, streamEndpoints()...)
+}
+
+// endpoint is one POST route's breaker and metrics, resolved once in
+// New. Every POST handler counts the request on entry and rejects
+// through fail, so requests and errors move together.
+type endpoint struct {
+	name     string
+	br       *breaker
+	requests *obs.Counter
+	errors   *obs.Counter
+	latency  *obs.Histogram
+}
+
+// fail counts a rejected request and writes its structured error.
+func (ep endpoint) fail(w http.ResponseWriter, e *apiError) {
+	ep.errors.Inc()
+	writeAPIError(w, e)
 }
 
 // Server is the hardened discovery service. Construct with New, serve
@@ -152,8 +166,11 @@ type Server struct {
 	adm *admission
 	lat *latencyWindow
 
-	breakers map[string]*breaker
-	handler  http.Handler
+	// endpoints holds the guarded routes by name; jobsEP is POST
+	// /v1/jobs, which counts requests and errors but has no breaker.
+	endpoints map[string]endpoint
+	jobsEP    endpoint
+	handler   http.Handler
 
 	jobs    *jobs.Manager
 	jobsErr error
@@ -180,7 +197,6 @@ func New(cfg Config) *Server {
 		reg:      reg,
 		adm:      newAdmission(cfg.MaxConcurrency, cfg.MaxQueue, reg),
 		lat:      &latencyWindow{},
-		breakers: make(map[string]*breaker),
 		inflight: reg.Gauge("server.inflight"),
 		panics:   reg.Counter("server.handler.panics"),
 	}
@@ -193,9 +209,21 @@ func New(cfg Config) *Server {
 		now:        cfg.breakerNow,
 		jitter:     cfg.breakerJitter,
 	}
-	for _, ep := range s.endpointsPreRegistered() {
-		s.breakers[ep] = newBreaker(ep, bcfg, reg)
+	// Registered at construction, so a snapshot lists every endpoint's
+	// series before traffic arrives.
+	names := endpointNames()
+	s.endpoints = make(map[string]endpoint, len(names))
+	for _, name := range names {
+		s.endpoints[name] = endpoint{
+			name:     name,
+			br:       newBreaker(name, bcfg, reg),
+			requests: reg.Counter("server." + name + ".requests"),
+			errors:   reg.Counter("server." + name + ".errors"),
+			latency:  reg.Histogram("server." + name + ".seconds"),
+		}
 	}
+	s.jobsEP = endpoint{name: "jobs",
+		requests: reg.Counter("server.jobs.requests"), errors: reg.Counter("server.jobs.errors")}
 
 	jm, jerr := jobs.New(jobs.Config{
 		Store:        cfg.JobStore,
@@ -243,19 +271,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	s.handler = s.recoverPanics(mux)
 	return s
-}
-
-// endpointsPreRegistered registers the per-endpoint metrics at
-// construction so a snapshot lists them even before traffic arrives,
-// and returns the endpoint keys.
-func (s *Server) endpointsPreRegistered() []string {
-	eps := endpoints()
-	for _, ep := range eps {
-		s.reg.Counter("server." + ep + ".requests")
-		s.reg.Counter("server." + ep + ".errors")
-		s.reg.Histogram("server." + ep + ".seconds")
-	}
-	return eps
 }
 
 // Handler returns the server's HTTP handler (for tests and embedding).
@@ -396,10 +411,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // response is one successful run's reply, renderable as JSON (default)
-// or, with ?format=text, as the byte-identical CLI output.
+// or, with ?format=text, as the byte-identical CLI output. outcome is
+// the run's truncation state, which guarded feeds to the breaker.
 type response interface {
 	writeJSON(w http.ResponseWriter)
 	writeText(w http.ResponseWriter)
+	outcome() (partial bool, reason string)
+}
+
+// reply is the response of a discover, validate or repair run, which
+// can also be stored as a job's result.
+type reply interface {
+	response
+	result() jobs.Result
 }
 
 func writeResponse(w http.ResponseWriter, r *http.Request, resp response) {
@@ -417,6 +441,14 @@ func writeJSONBody(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
+// nonNil makes an empty result list encode as [] rather than null.
+func nonNil(xs []string) []string {
+	if xs == nil {
+		return []string{}
+	}
+	return xs
+}
+
 // discoverResponse is the JSON reply of POST /v1/discover/{algo}.
 type discoverResponse struct {
 	Algo    string   `json:"algo"`
@@ -430,6 +462,10 @@ type discoverResponse struct {
 
 func (d discoverResponse) writeJSON(w http.ResponseWriter) { writeJSONBody(w, d) }
 func (d discoverResponse) writeText(w http.ResponseWriter) { io.WriteString(w, d.out.Text()) }
+func (d discoverResponse) outcome() (bool, string)         { return d.Partial, d.Reason }
+func (d discoverResponse) result() jobs.Result {
+	return jobs.Result{Lines: d.out.Lines, Partial: d.Partial, Reason: d.Reason}
+}
 
 // validateResponse is the JSON reply of POST /v1/validate.
 type validateResponse struct {
@@ -444,6 +480,10 @@ type validateResponse struct {
 
 func (v validateResponse) writeJSON(w http.ResponseWriter) { writeJSONBody(w, v) }
 func (v validateResponse) writeText(w http.ResponseWriter) { io.WriteString(w, v.out.Text()) }
+func (v validateResponse) outcome() (bool, string)         { return v.Partial, v.Reason }
+func (v validateResponse) result() jobs.Result {
+	return jobs.Result{Report: v.out.Text(), Partial: v.Partial, Reason: v.Reason}
+}
 
 // repairResponse is the JSON reply of POST /v1/repair.
 type repairResponse struct {
@@ -459,6 +499,10 @@ func (rr repairResponse) writeText(w http.ResponseWriter) {
 	if rr.Partial {
 		fmt.Fprintf(w, "PARTIAL: %s\n", rr.Reason)
 	}
+}
+func (rr repairResponse) outcome() (bool, string) { return rr.Partial, rr.Reason }
+func (rr repairResponse) result() jobs.Result {
+	return jobs.Result{CSV: rr.CSV, Changes: rr.Changes, Partial: rr.Partial, Reason: rr.Reason}
 }
 
 // engineFault classifies a run outcome for the circuit breaker: task
@@ -490,34 +534,29 @@ func outcomeError(partial bool, reason string) *apiError {
 	}
 }
 
-// guarded runs fn through the full hardening pipeline for one endpoint:
-// drain check, circuit breaker, weighted admission, metrics, fault
-// accounting. fn receives the request context (cancelled on server
-// drain past the deadline) and the resolved RunParams, and reports the
-// run's partial/reason outcome alongside its response.
-func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string, spec budgetSpec,
-	fn func(ctx context.Context, p RunParams) (response, bool, string, *apiError)) {
+// drainingErr is the 503 every POST route answers once drain began.
+func (s *Server) drainingErr() *apiError {
+	return &apiError{status: http.StatusServiceUnavailable, code: "draining",
+		msg: "server is draining", retryAfter: s.lat.retryAfterSeconds()}
+}
 
-	requests := s.reg.Counter("server." + endpoint + ".requests")
-	errCount := s.reg.Counter("server." + endpoint + ".errors")
-	latency := s.reg.Histogram("server." + endpoint + ".seconds")
-	requests.Inc()
-	fail := func(e *apiError) {
-		errCount.Inc()
-		writeAPIError(w, e)
-	}
+// guarded runs fn through the full hardening pipeline for one endpoint:
+// drain check, circuit breaker, weighted admission, latency and fault
+// accounting. The caller has counted the request on entry. fn receives
+// the request context (cancelled on server drain past the deadline) and
+// the resolved RunParams.
+func (s *Server) guarded(w http.ResponseWriter, r *http.Request, ep endpoint, spec budgetSpec,
+	fn func(ctx context.Context, p RunParams) (response, *apiError)) {
 
 	if s.draining.Load() {
-		fail(&apiError{status: http.StatusServiceUnavailable, code: "draining",
-			msg: "server is draining", retryAfter: s.lat.retryAfterSeconds()})
+		ep.fail(w, s.drainingErr())
 		return
 	}
-	br := s.breakers[endpoint]
-	done, retryIn, ok := br.allow()
+	done, retryIn, ok := ep.br.allow()
 	if !ok {
 		after := int(retryIn/time.Second) + 1
-		fail(&apiError{status: http.StatusServiceUnavailable, code: "breaker_open",
-			msg: fmt.Sprintf("endpoint %s circuit breaker is open", endpoint), retryAfter: after})
+		ep.fail(w, &apiError{status: http.StatusServiceUnavailable, code: "breaker_open",
+			msg: fmt.Sprintf("endpoint %s circuit breaker is open", ep.name), retryAfter: after})
 		return
 	}
 
@@ -533,13 +572,12 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string
 		done(breakerSkip) // shed before running: no engine outcome to record
 		switch err {
 		case errSaturated:
-			fail(&apiError{status: http.StatusTooManyRequests, code: "saturated",
+			ep.fail(w, &apiError{status: http.StatusTooManyRequests, code: "saturated",
 				msg: "admission queue full, retry later", retryAfter: s.lat.retryAfterSeconds()})
 		case errDraining:
-			fail(&apiError{status: http.StatusServiceUnavailable, code: "draining",
-				msg: "server is draining", retryAfter: s.lat.retryAfterSeconds()})
+			ep.fail(w, s.drainingErr())
 		default: // client gave up while queued
-			fail(&apiError{status: 499, code: "client_cancelled", msg: "client cancelled while queued"})
+			ep.fail(w, &apiError{status: 499, code: "client_cancelled", msg: "client cancelled while queued"})
 		}
 		return
 	}
@@ -548,155 +586,88 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, endpoint string
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	start := time.Now()
-	resp, partial, reason, apiErr := fn(ctx, RunParams{
+	resp, apiErr := fn(ctx, RunParams{
 		Workers: spec.workers,
 		Budget:  engine.Budget{Timeout: spec.timeout, MaxTasks: spec.maxTasks},
 		Obs:     s.reg,
 	})
 	elapsed := time.Since(start).Seconds()
-	latency.Observe(elapsed)
+	ep.latency.Observe(elapsed)
 	s.lat.observe(elapsed)
 
+	if apiErr != nil {
+		done(breakerOK)
+		ep.fail(w, apiErr)
+		return
+	}
+	partial, reason := resp.outcome()
 	if engineFault(partial, reason, spec.clientTimeout) {
 		done(breakerFault)
 	} else {
 		done(breakerOK)
 	}
-	if apiErr == nil {
-		apiErr = outcomeError(partial, reason)
-	}
-	if apiErr != nil {
-		fail(apiErr)
+	if apiErr = outcomeError(partial, reason); apiErr != nil {
+		ep.fail(w, apiErr)
 		return
 	}
 	writeResponse(w, r, resp)
 }
 
-// validAlgo is the algorithm-name dispatch set for the discover route.
-var validAlgo = func() map[string]bool {
-	m := make(map[string]bool)
-	for _, a := range Algorithms() {
-		m[a] = true
+// unknownAlgo is the 404 for a discoverer name outside the registry.
+func unknownAlgo(algo string) *apiError {
+	return &apiError{status: http.StatusNotFound, code: "unknown_algo",
+		msg: fmt.Sprintf("unknown algorithm %q (want one of %v)", algo, Algorithms())}
+}
+
+// runSync is the tail every synchronous route shares once its body is
+// decoded into a spec: prepare it, then run it through guarded.
+func (s *Server) runSync(w http.ResponseWriter, r *http.Request, ep endpoint, k RunKnobs, spec jobs.Spec) {
+	run, e := s.prepare(spec)
+	if e != nil {
+		ep.fail(w, e)
+		return
 	}
-	return m
-}()
+	s.guarded(w, r, ep, s.resolveBudget(k, r.Header), func(ctx context.Context, p RunParams) (response, *apiError) {
+		return run(ctx, p)
+	})
+}
 
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	algo := r.PathValue("algo")
-	if !validAlgo[algo] {
+	ep, ok := s.endpoints["discover."+algo]
+	if !ok {
 		s.reg.Counter("server.discover.unknown_algo").Inc()
-		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "unknown_algo",
-			msg: fmt.Sprintf("unknown algorithm %q (want one of %v)", algo, Algorithms())})
+		writeAPIError(w, unknownAlgo(algo))
 		return
 	}
+	ep.requests.Inc()
 	var req DiscoverRequest
 	if e := s.decodeBody(w, r, &req); e != nil {
-		s.reg.Counter("server.discover." + algo + ".errors").Inc()
-		writeAPIError(w, e)
+		ep.fail(w, e)
 		return
 	}
-	rel, e := s.parseCSV("request", req.CSV)
-	if e != nil {
-		s.reg.Counter("server.discover." + algo + ".errors").Inc()
-		writeAPIError(w, e)
-		return
-	}
-	// Sampling on an unsupported discoverer is a client error: reject it
-	// before the guarded pipeline so it never feeds the breaker.
-	if req.SampleRows > 0 {
-		if a, ok := registry.Lookup(algo); !ok || !a.Sampling {
-			s.reg.Counter("server.discover." + algo + ".errors").Inc()
-			writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "sampling_unsupported",
-				msg: fmt.Sprintf("algorithm %q does not support sample-then-verify (sample_rows)", algo)})
-			return
-		}
-	}
-	spec := s.resolveBudget(req.RunKnobs, r.Header)
-	s.guarded(w, r, "discover."+algo, spec, func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
-		p.MaxErr = req.MaxErr
-		p.SampleRows = req.SampleRows
-		p.SampleSeed = req.SampleSeed
-		out, err := RunDiscover(ctx, rel, algo, p)
-		if err != nil {
-			if errors.Is(err, ErrSamplingUnsupported) {
-				return nil, false, "", &apiError{status: http.StatusBadRequest, code: "sampling_unsupported", msg: err.Error()}
-			}
-			return nil, false, "", &apiError{status: http.StatusNotFound, code: "unknown_algo", msg: err.Error()}
-		}
-		results := out.Lines
-		if results == nil {
-			results = []string{}
-		}
-		return discoverResponse{
-			Algo: algo, Count: len(out.Lines), Results: results,
-			Partial: out.Partial, Reason: out.Reason, out: out,
-		}, out.Partial, out.Reason, nil
-	})
+	s.runSync(w, r, ep, req.RunKnobs, jobs.Spec{Kind: "discover", Algo: algo, CSV: req.CSV,
+		MaxErr: req.MaxErr, SampleRows: req.SampleRows, SampleSeed: req.SampleSeed})
 }
 
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "validate"
+	ep := s.endpoints["validate"]
+	ep.requests.Inc()
 	var req ValidateRequest
 	if e := s.decodeBody(w, r, &req); e != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
+		ep.fail(w, e)
 		return
 	}
-	rel, e := s.parseCSV("request", req.CSV)
-	if e != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
-		return
-	}
-	fds, err := ParseFDList(rel.Schema(), req.FDs)
-	if err != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()})
-		return
-	}
-	spec := s.resolveBudget(req.RunKnobs, r.Header)
-	s.guarded(w, r, endpoint, spec, func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
-		out := RunValidate(ctx, rel, fds, p)
-		return validateResponse{
-			Report: out.Report, Checked: out.Completed, Rules: out.Rules,
-			Partial: out.Partial, Reason: out.Reason, out: out,
-		}, out.Partial, out.Reason, nil
-	})
+	s.runSync(w, r, ep, req.RunKnobs, jobs.Spec{Kind: "validate", CSV: req.CSV, FDs: req.FDs})
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "repair"
+	ep := s.endpoints["repair"]
+	ep.requests.Inc()
 	var req RepairRequest
 	if e := s.decodeBody(w, r, &req); e != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
+		ep.fail(w, e)
 		return
 	}
-	rel, e := s.parseCSV("request", req.CSV)
-	if e != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
-		return
-	}
-	f, err := ParseFD(rel.Schema(), req.FD)
-	if err != nil {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "invalid_fd", msg: err.Error()})
-		return
-	}
-	spec := s.resolveBudget(req.RunKnobs, r.Header)
-	s.guarded(w, r, endpoint, spec, func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
-		out, rerr := RunRepair(ctx, rel, []fd.FD{f}, p)
-		if rerr != nil {
-			return nil, false, "", &apiError{status: http.StatusInternalServerError, code: "encode_failed", msg: rerr.Error()}
-		}
-		changes := out.Changes
-		if changes == nil {
-			changes = []string{}
-		}
-		return repairResponse{
-			CSV: out.CSV, Changes: changes,
-			Partial: out.Partial, Reason: out.Reason,
-		}, out.Partial, out.Reason, nil
-	})
+	s.runSync(w, r, ep, req.RunKnobs, jobs.Spec{Kind: "repair", CSV: req.CSV, FD: req.FD})
 }

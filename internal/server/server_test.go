@@ -402,7 +402,7 @@ func TestClientBudgetPartialIsNotABreakerFault(t *testing.T) {
 			t.Fatalf("partial run %d: status %d\n%s", i, status, body)
 		}
 	}
-	if st := s.breakers["discover.tane"].snapshotState(); st != breakerClosed {
+	if st := s.endpoints["discover.tane"].br.snapshotState(); st != breakerClosed {
 		t.Errorf("breaker state after client-budget partials = %v, want closed", st)
 	}
 }
@@ -479,5 +479,38 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("listener still answering after drain completed")
+	}
+}
+
+// TestMalformedBodyCountsRequestAndError: every POST route counts a
+// request on entry, so a body rejected before the run still moves
+// server.<endpoint>.requests together with .errors — by exactly one.
+func TestMalformedBodyCountsRequestAndError(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	type route struct{ path, ep string } // ep names the metric series
+	routes := []route{{"/v1/validate", "validate"}, {"/v1/repair", "repair"}, {"/v1/jobs", "jobs"}}
+	for _, a := range Algorithms() {
+		routes = append(routes, route{"/v1/discover/" + a, "discover." + a})
+	}
+	for _, ep := range streamEndpoints() {
+		routes = append(routes, route{"/v1/stream/" + strings.TrimPrefix(ep, "stream."), ep})
+	}
+	for _, rt := range routes {
+		path, ep := rt.path, rt.ep
+		t.Run(ep, func(t *testing.T) {
+			requests := s.reg.Counter("server." + ep + ".requests")
+			errs := s.reg.Counter("server." + ep + ".errors")
+			r0, e0 := requests.Value(), errs.Value()
+			status, body := post(t, ts.URL+path, "{")
+			if status != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400\n%s", status, body)
+			}
+			if got := requests.Value() - r0; got != 1 {
+				t.Errorf("requests moved by %d, want 1", got)
+			}
+			if got := errs.Value() - e0; got != 1 {
+				t.Errorf("errors moved by %d, want 1", got)
+			}
+		})
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"sync"
 
+	"deptree/internal/discovery/registry"
 	"deptree/internal/obs"
 	"deptree/internal/relation"
 	"deptree/internal/stream"
@@ -62,6 +63,7 @@ type streamResponse struct {
 }
 
 func (sr streamResponse) writeJSON(w http.ResponseWriter) { writeJSONBody(w, sr) }
+func (sr streamResponse) outcome() (bool, string)         { return sr.Partial, sr.Reason }
 func (sr streamResponse) writeText(w http.ResponseWriter) {
 	fmt.Fprintf(w, "session %s batch %d rows %d total %d\n", sr.Session, sr.Seq, sr.Rows, sr.TotalRows)
 	for _, l := range sr.Added {
@@ -298,30 +300,26 @@ func streamEndpoints() []string {
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	algo := r.PathValue("algo")
-	if !validAlgo[algo] {
-		s.reg.Counter("server.stream.unknown_algo").Inc()
-		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "unknown_algo",
-			msg: fmt.Sprintf("unknown algorithm %q (want one of %v)", algo, Algorithms())})
-		return
-	}
-	if !stream.Supported(algo) {
+	ep, ok := s.endpoints["stream."+algo]
+	if !ok {
+		if _, known := registry.Lookup(algo); !known {
+			s.reg.Counter("server.stream.unknown_algo").Inc()
+			writeAPIError(w, unknownAlgo(algo))
+			return
+		}
 		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "streaming_unsupported",
 			msg: fmt.Sprintf("algorithm %q has no incremental engine (want one of %v)", algo, streamEndpoints())})
 		return
 	}
-	endpoint := "stream." + algo
-	fail := func(e *apiError) {
-		s.reg.Counter("server." + endpoint + ".errors").Inc()
-		writeAPIError(w, e)
-	}
+	ep.requests.Inc()
 	if err := s.streams.unavailable(); err != nil {
-		fail(&apiError{status: http.StatusServiceUnavailable, code: "stream_unavailable",
+		ep.fail(w, &apiError{status: http.StatusServiceUnavailable, code: "stream_unavailable",
 			msg: "stream subsystem unavailable: " + err.Error()})
 		return
 	}
 	var req StreamRequest
 	if e := s.decodeBody(w, r, &req); e != nil {
-		fail(e)
+		ep.fail(w, e)
 		return
 	}
 
@@ -335,7 +333,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if req.Session == "" {
 		rel, e := s.parseCSV("stream", req.CSV)
 		if e != nil {
-			fail(e)
+			ep.fail(w, e)
 			return
 		}
 		schema = rel.Schema()
@@ -343,30 +341,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	} else {
 		st = s.streams.get(req.Session)
 		if st == nil {
-			fail(&apiError{status: http.StatusNotFound, code: "unknown_session",
+			ep.fail(w, &apiError{status: http.StatusNotFound, code: "unknown_session",
 				msg: fmt.Sprintf("no stream session %q (sessions do not survive a restart without -jobs-dir)", req.Session)})
 			return
 		}
 		if st.sess.Algo() != algo {
-			fail(&apiError{status: http.StatusBadRequest, code: "algo_mismatch",
+			ep.fail(w, &apiError{status: http.StatusBadRequest, code: "algo_mismatch",
 				msg: fmt.Sprintf("session %s streams %q, not %q", st.id, st.sess.Algo(), algo)})
 			return
 		}
 		var e *apiError
 		rows, e = s.parseStreamBatch(st.sess.Schema(), req.CSV)
 		if e != nil {
-			fail(e)
+			ep.fail(w, e)
 			return
 		}
 	}
 
 	spec := s.resolveBudget(req.RunKnobs, r.Header)
-	s.guarded(w, r, endpoint, spec, func(ctx context.Context, p RunParams) (response, bool, string, *apiError) {
+	s.guarded(w, r, ep, spec, func(ctx context.Context, p RunParams) (response, *apiError) {
 		if st == nil {
 			var apiErr *apiError
 			st, apiErr = s.streams.create(algo, schema, s.streamOptions())
 			if apiErr != nil {
-				return nil, false, "", apiErr
+				return nil, apiErr
 			}
 			s.reg.Gauge("server.stream.sessions").Add(1)
 		}
@@ -378,7 +376,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // run knobs, the engine sync, and — only after the appender accepted the
 // rows — the fsynced WAL record, so the response implies durability.
 func (s *Server) streamRunBatch(ctx context.Context, algo string, st *serverStream,
-	rows [][]relation.Value, p RunParams) (response, bool, string, *apiError) {
+	rows [][]relation.Value, p RunParams) (response, *apiError) {
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -387,27 +385,23 @@ func (s *Server) streamRunBatch(ctx context.Context, algo string, st *serverStre
 	if err != nil {
 		var tooLarge *relation.ErrInputTooLarge
 		if errors.As(err, &tooLarge) {
-			return nil, false, "", &apiError{status: http.StatusRequestEntityTooLarge, code: "input_too_large", msg: err.Error()}
+			return nil, &apiError{status: http.StatusRequestEntityTooLarge, code: "input_too_large", msg: err.Error()}
 		}
-		return nil, false, "", &apiError{status: http.StatusBadRequest, code: "invalid_batch", msg: err.Error()}
+		return nil, &apiError{status: http.StatusBadRequest, code: "invalid_batch", msg: err.Error()}
 	}
 	if len(rows) > 0 {
 		if werr := s.streams.walAppend(func(w *stream.WAL) error {
 			return w.AppendBatch(st.id, res.Seq, rows)
 		}); werr != nil {
-			return nil, false, "", &apiError{status: http.StatusInternalServerError, code: "stream_wal_failed", msg: werr.Error()}
+			return nil, &apiError{status: http.StatusInternalServerError, code: "stream_wal_failed", msg: werr.Error()}
 		}
 		s.reg.Counter("server.stream.batches").Inc()
 	}
-	results := res.Lines
-	if results == nil {
-		results = []string{}
-	}
 	return streamResponse{
 		Session: st.id, Algo: algo, Seq: res.Seq, Rows: res.Rows, TotalRows: res.TotalRows,
-		Fingerprint: res.Fingerprint, Count: len(res.Lines), Results: results,
+		Fingerprint: res.Fingerprint, Count: len(res.Lines), Results: nonNil(res.Lines),
 		Added: res.Added, Removed: res.Removed, Partial: res.Partial, Reason: res.Reason,
-	}, res.Partial, res.Reason, nil
+	}, nil
 }
 
 // parseStreamBatch decodes an append batch with the session's kinds and
