@@ -3,13 +3,18 @@
 
 GO ?= go
 
-.PHONY: build test race chaos recover torture fuzz bench benchdiff bench-large bench-stream serve-smoke servebench-check verify
+.PHONY: build test fmt-check race chaos recover torture fuzz bench benchdiff bench-large bench-stream serve-smoke servebench-check verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Fails when any Go file in the tree, servebench included, is not
+# gofmt-clean; `gofmt -l .` lists the offenders.
+fmt-check:
+	test -z "$$(gofmt -l . servebench)"
 
 # Race coverage for the worker pool, the shared partition cache, all
 # parallelized discovery algorithms (the differential harness runs both

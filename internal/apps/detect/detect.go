@@ -50,10 +50,7 @@ type Options struct {
 // count, since rules fan out one per task in order.
 type RunResult struct {
 	Reports []Report
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Outcome
 	// Completed is the number of rules fully checked.
 	Completed int
 }
@@ -69,16 +66,13 @@ func Run(r *relation.Relation, rules []deps.Dependency, opts Options) []Report {
 // Partial prefix instead of failing.
 func RunContext(ctx context.Context, r *relation.Relation, rules []deps.Dependency, opts Options) RunResult {
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "detect")
+	run := engine.Start(ctx, "detect", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("rules", len(rules))
-	defer run.End()
 
 	ruleTimer := reg.Histogram("detect.rules.seconds").Start()
-	reps, done, err := engine.MapBudget(pool, len(rules), 1, func(i int) Report {
+	reps, done, err := engine.Keep(run.Pool, len(rules), 1, func(i int) (Report, bool) {
 		rule := rules[i]
 		limit := opts.PerRuleLimit
 		probe := limit
@@ -91,23 +85,12 @@ func RunContext(ctx context.Context, r *relation.Relation, rules []deps.Dependen
 			rep.Violations = vs[:limit]
 			rep.Truncated = true
 		}
-		return rep
+		return rep, len(rep.Violations) > 0
 	})
 	ruleTimer()
 	reg.Counter("detect.rules.checked").Add(int64(done))
-	res := RunResult{Completed: done}
-	for i := 0; i < done; i++ {
-		if len(reps[i].Violations) > 0 {
-			res.Reports = append(res.Reports, reps[i])
-		}
-	}
-	reg.Counter("detect.rules.violated").Add(int64(len(res.Reports)))
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	reg.Counter("detect.rules.violated").Add(int64(len(reps)))
+	return RunResult{Reports: reps, Outcome: run.Finish(err), Completed: done}
 }
 
 // TupleScores aggregates violations into per-tuple counts — the standard

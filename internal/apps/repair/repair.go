@@ -47,12 +47,10 @@ func (c Change) String() string {
 type Result struct {
 	Repaired *relation.Relation
 	Changes  []Change
-	// Partial marks a run truncated by budget, cancellation or panic; the
-	// Repaired instance then reflects the changes applied so far (a valid
-	// relation, but the dependencies may still be violated).
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	// Outcome marks a truncated run; the Repaired instance then reflects
+	// the changes applied so far (a valid relation, but the dependencies
+	// may still be violated).
+	engine.Outcome
 }
 
 // Options configures the budgeted repair entry points.
@@ -88,24 +86,15 @@ func FDRepairContext(ctx context.Context, r *relation.Relation, fds []fd.FD, opt
 	out := r.Clone()
 	var changes []Change
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "repair.fd")
+	run := engine.Start(ctx, "repair.fd", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("fds", len(fds))
-	defer run.End()
 
 	finish := func(err error) Result {
 		reg.Counter("repair.cells.changed").Add(int64(len(changes)))
 		run.SetAttr("changes", len(changes))
-		res := Result{Repaired: out, Changes: changes}
-		if err != nil {
-			res.Partial = true
-			res.Reason = engine.Reason(err)
-			run.SetAttr("stop", res.Reason)
-		}
-		return res
+		return Result{Repaired: out, Changes: changes, Outcome: run.Finish(err)}
 	}
 	// Iterate to a fixpoint: repairing one FD can break another.
 	passes := 0
@@ -115,7 +104,7 @@ func FDRepairContext(ctx context.Context, r *relation.Relation, fds []fd.FD, opt
 		for _, f := range fds {
 			f := f
 			px := partition.Build(out, f.LHS)
-			perClass, err := engine.MapErr(pool, px.NumClasses(), func(i int) []Change {
+			perClass, err := engine.MapErr(run.Pool, px.NumClasses(), func(i int) []Change {
 				return classChanges(out, f, px.Class(i))
 			})
 			if err != nil {

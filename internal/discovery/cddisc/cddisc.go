@@ -81,13 +81,6 @@ func (s *Session) AddFunction(theta cd.SimilarityFunc) []cd.CD {
 	return added
 }
 
-// candidate is one (LHS, RHS) combination generated by an AddFunction
-// step.
-type candidate struct {
-	lhs []cd.SimilarityFunc
-	rhs cd.SimilarityFunc
-}
-
 // batch is the fixed MapBudget stripe width over candidates (each task is
 // an O(n²) support scan plus a g3 check). Fixed so the truncation point
 // is worker-independent.
@@ -99,40 +92,34 @@ const batch = 8
 // Candidates never prune each other within a step, so any completed
 // prefix of the candidate order is deterministic.
 func (s *Session) addFunction(pool *engine.Pool, theta cd.SimilarityFunc) ([]cd.CD, int, error) {
-	var cands []candidate
+	var cands []cd.CD
+	add := func(rhs cd.SimilarityFunc, lhs ...cd.SimilarityFunc) {
+		cands = append(cands, cd.CD{LHS: lhs, RHS: rhs, Schema: s.r.Schema()})
+	}
 	// New function as RHS of every known single- and two-function LHS.
 	for i, a := range s.thetas {
-		cands = append(cands, candidate{lhs: []cd.SimilarityFunc{a}, rhs: theta})
+		add(theta, a)
 		if s.opts.MaxLHS >= 2 {
 			for _, b := range s.thetas[i+1:] {
-				cands = append(cands, candidate{lhs: []cd.SimilarityFunc{a, b}, rhs: theta})
+				add(theta, a, b)
 			}
 		}
 	}
 	// New function as LHS for every known RHS.
 	for _, b := range s.thetas {
-		cands = append(cands, candidate{lhs: []cd.SimilarityFunc{theta}, rhs: b})
+		add(b, theta)
 		if s.opts.MaxLHS >= 2 {
 			for _, a := range s.thetas {
 				if a != b && a != theta {
-					cands = append(cands, candidate{lhs: []cd.SimilarityFunc{theta, a}, rhs: b})
+					add(b, theta, a)
 				}
 			}
 		}
 	}
-	hits, done, err := engine.MapBudget(pool, len(cands), batch, func(i int) bool {
+	added, done, err := engine.Keep(pool, len(cands), batch, func(i int) (cd.CD, bool) {
 		c := cands[i]
-		if s.lhsSupport(c.lhs) < s.opts.MinSupport {
-			return false
-		}
-		return (cd.CD{LHS: c.lhs, RHS: c.rhs, Schema: s.r.Schema()}).G3(s.r) <= s.opts.MaxError
+		return c, s.lhsSupport(c.LHS) >= s.opts.MinSupport && c.G3(s.r) <= s.opts.MaxError
 	})
-	var added []cd.CD
-	for i := 0; i < done; i++ {
-		if hits[i] {
-			added = append(added, cd.CD{LHS: cands[i].lhs, RHS: cands[i].rhs, Schema: s.r.Schema()})
-		}
-	}
 	s.thetas = append(s.thetas, theta)
 	sort.Slice(added, func(i, j int) bool { return added[i].String() < added[j].String() })
 	s.found = append(s.found, added...)
@@ -160,10 +147,7 @@ func (s *Session) lhsSupport(lhs []cd.SimilarityFunc) int {
 // prefix of the incremental candidate enumeration.
 type Result struct {
 	CDs []cd.CD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Outcome
 	// Completed is the number of candidates validated.
 	Completed int
 }
@@ -201,20 +185,17 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		thetas = DefaultThetas(r)
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "cddisc")
+	run := engine.Start(ctx, "cddisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("thetas", len(thetas))
-	defer run.End()
 	stepSpan := run.Child(obs.KindPhase, "incremental-steps")
 
 	s := NewSession(r, opts)
 	completed := 0
 	var stopErr error
 	for _, theta := range thetas {
-		_, done, err := s.addFunction(pool, theta)
+		_, done, err := s.addFunction(run.Pool, theta)
 		completed += done
 		if err != nil {
 			stopErr = err
@@ -225,11 +206,5 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	stepSpan.End()
 	reg.Counter("cddisc.candidates.checked").Add(int64(completed))
 	reg.Counter("cddisc.cds.valid").Add(int64(len(s.found)))
-	res := Result{CDs: s.found, Completed: completed}
-	if stopErr != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(stopErr)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{CDs: s.found, Outcome: run.Finish(stopErr), Completed: completed}
 }

@@ -79,10 +79,7 @@ func (p pattern) id() string {
 // deterministic prefix of the level-wise pattern enumeration.
 type Result struct {
 	CFDs []cfd.CFD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Outcome
 	// Completed is the number of pattern nodes whose conclusions were
 	// checked.
 	Completed int
@@ -136,13 +133,10 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "cfddisc")
+	run := engine.Start(ctx, "cfddisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("level-1", len(level))
-	defer run.End()
 	mineSpan := run.Child(obs.KindPhase, "pattern-mining")
 
 	// implied records conclusions already derived from some sub-pattern:
@@ -182,7 +176,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	for depth := 1; depth <= opts.MaxLHS && len(level) > 0; depth++ {
 		// Fan out: each node independently finds its conclusion columns
 		// (ascending), the order the sequential miner visits them in.
-		concl, done, err := engine.MapBudget(pool, len(level), batch, func(i int) []int {
+		concl, done, err := engine.MapBudget(run.Pool, len(level), batch, func(i int) []int {
 			nd := level[i]
 			cols := nd.pat.cols()
 			var out []int
@@ -206,8 +200,8 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		})
 		completed += done
 		// Replay the completed prefix sequentially for minimality.
-		for i := 0; i < done; i++ {
-			for _, a := range concl[i] {
+		for i, cols := range concl {
+			for _, a := range cols {
 				addResult(level[i].pat, a, level[i].rows)
 			}
 		}
@@ -237,13 +231,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	mineSpan.End()
 	reg.Counter("cfddisc.nodes.checked").Add(int64(completed))
 	reg.Counter("cfddisc.cfds.valid").Add(int64(len(results)))
-	res := Result{CFDs: results, Completed: completed}
-	if stopErr != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(stopErr)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{CFDs: results, Outcome: run.Finish(stopErr), Completed: completed}
 }
 
 // subPattern reports whether a ⊆ b as item sets.

@@ -86,10 +86,7 @@ type Correlation struct {
 type Result struct {
 	SFDs         []sfd.SFD
 	Correlations []Correlation
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Outcome
 	// Completed is the number of ordered column pairs analyzed.
 	Completed int
 }
@@ -114,14 +111,11 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "cords")
+	run := engine.Start(ctx, "cords", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("sample", len(sample))
 	run.SetAttr("pairs", len(pairs))
-	defer run.End()
 
 	// Dictionary-encode every column once up front: each pair analysis then
 	// runs on integer codes and counting arrays instead of string-keyed hash
@@ -134,19 +128,14 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 
 	pairSpan := run.Child(obs.KindPhase, "pair-analysis")
 	pairTimer := reg.Histogram("cords.pairs.seconds").Start()
-	corrs, done, err := engine.MapBudget(pool, len(pairs), 0, func(i int) Correlation {
+	corrs, done, err := engine.MapBudget(run.Pool, len(pairs), 0, func(i int) Correlation {
 		return analyze(sample, &cols[pairs[i].c1], &cols[pairs[i].c2], pairs[i].c1, pairs[i].c2, opts)
 	})
 	pairTimer()
 	pairSpan.SetAttr("completed", done)
 	pairSpan.End()
 	reg.Counter("cords.pairs.analyzed").Add(int64(done))
-	res := Result{Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
+	res := Result{Outcome: run.Finish(err), Completed: done}
 	for _, corr := range corrs {
 		res.Correlations = append(res.Correlations, corr)
 		if corr.Correlated {

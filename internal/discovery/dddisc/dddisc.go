@@ -57,10 +57,7 @@ func (o Options) withDefaults() Options {
 // prefix of the candidate-attribute order.
 type Result struct {
 	DDs []dd.DD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Outcome
 	// Completed is the number of candidate attributes searched.
 	Completed int
 }
@@ -99,31 +96,23 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "dddisc")
+	run := engine.Start(ctx, "dddisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", n)
 	run.SetAttr("candidates", len(cols))
-	defer run.End()
 
-	// Shared RHS compatibility per tuple pair, in (i,j) i<j order.
+	// Shared RHS compatibility per tuple pair, in (i,j) i<j order. A run
+	// stopped before or during it keeps the deterministic empty prefix.
 	rhsSpan := run.Child(obs.KindPhase, "rhs-compat")
-	pairCount := n * (n - 1) / 2
-	rhsOK := make([]bool, 0, pairCount)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			rhsOK = append(rhsOK, opts.RHS.Compatible(r, i, j))
-		}
-	}
+	rhsOK, err := engine.Pairs(run.Pool, n, func(i, j int) bool { return opts.RHS.Compatible(r, i, j) })
 	rhsSpan.End()
-
-	type hit struct {
-		best float64
-		ok   bool
+	if err != nil {
+		return Result{Outcome: run.Finish(err)}
 	}
+	pairCount := len(rhsOK)
+
 	searchSpan := run.Child(obs.KindPhase, "threshold-search")
-	hits, done, err := engine.MapBudget(pool, len(cols), batch, func(k int) hit {
+	out, done, err := engine.Keep(run.Pool, len(cols), batch, func(k int) (dd.DD, bool) {
 		c := cols[k]
 		m := metric.ForKind(r.Schema().Attr(c).Kind)
 		dist := make([]float64, 0, pairCount)
@@ -132,42 +121,28 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 				dist = append(dist, m.Distance(r.Value(i, c), r.Value(j, c)))
 			}
 		}
-		h := hit{best: -1}
+		best, ok := -1.0, false
 		for _, t := range quantileThresholds(dist, opts.MaxThresholds) {
 			support, conf := evaluate(dist, t, rhsOK)
 			if support >= opts.MinSupport && conf == 1 {
-				if !h.ok || t > h.best {
-					h.best = t
-					h.ok = true
+				if !ok || t > best {
+					best = t
+					ok = true
 				}
 			}
 		}
-		return h
+		return dd.DD{
+			LHS:    dd.Pattern{{Col: c, Metric: m, Op: dd.OpLe, Threshold: best}},
+			RHS:    dd.Pattern{opts.RHS},
+			Schema: r.Schema(),
+		}, ok
 	})
 	searchSpan.SetAttr("completed", done)
 	searchSpan.End()
 	reg.Counter("dddisc.candidates.checked").Add(int64(done))
-
-	var out []dd.DD
-	for k := 0; k < done; k++ {
-		if hits[k].ok {
-			c := cols[k]
-			out = append(out, dd.DD{
-				LHS:    dd.Pattern{{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Op: dd.OpLe, Threshold: hits[k].best}},
-				RHS:    dd.Pattern{opts.RHS},
-				Schema: r.Schema(),
-			})
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LHS[0].Col < out[j].LHS[0].Col })
 	reg.Counter("dddisc.dds.valid").Add(int64(len(out)))
-	res := Result{DDs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{DDs: out, Outcome: run.Finish(err), Completed: done}
 }
 
 // evaluate computes support (pairs with distance ≤ t) and confidence

@@ -60,17 +60,12 @@ func (o Options) withDefaults() Options {
 // may be violated by an unscanned pair, so a Partial result is a
 // sample-style approximation — the DCs that hold on every pair whose
 // first tuple lies in the scanned prefix — not a sound subset of the full
-// answer. RowsCovered reports that prefix; it is deterministic for any
-// worker count under a MaxTasks budget (fixed stripe and batch widths).
+// answer. The evidence-scan span's rows_covered attribute reports that
+// prefix; it is deterministic for any worker count under a MaxTasks
+// budget (fixed stripe and batch widths).
 type Result struct {
 	DCs []dc.DC
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
-	// RowsCovered is the first-tuple row prefix the evidence scan
-	// completed (== Rows() on a full run).
-	RowsCovered int
+	engine.Outcome
 }
 
 // Discover runs FASTDC and returns minimal valid DCs, sorted by rendered
@@ -86,15 +81,14 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		return Result{}
 	}
 	reg := opts.Obs
-	run := reg.StartSpan(obs.KindRun, "fastdc")
+	run := engine.Start(ctx, "fastdc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
+	pool := run.Pool
 	run.SetAttr("rows", r.Rows())
-	defer run.End()
 
 	space := PredicateSpace(r, opts.CrossColumn)
 	run.SetAttr("predicates", len(space))
 	reg.Counter("fastdc.predicates").Add(int64(len(space)))
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
 
 	evSpan := run.Child(obs.KindPhase, "evidence-scan")
 	evTimer := reg.Histogram("fastdc.evidence.seconds").Start()
@@ -106,8 +100,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	reg.Counter("fastdc.evidence.sets").Add(int64(len(evidence)))
 	reg.Counter("fastdc.rows.covered").Add(int64(rowsCovered))
 	if len(evidence) == 0 && evErr != nil {
-		run.SetAttr("stop", engine.Reason(evErr))
-		return Result{Partial: true, Reason: engine.Reason(evErr)}
+		return Result{Outcome: run.Finish(evErr)}
 	}
 	// The cover search runs on the submitting goroutine, outside the
 	// pool's task accounting: MaxTasks only meters evidence stripes, so
@@ -133,23 +126,16 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		out = append(out, dc.DC{Predicates: preds, Schema: r.Schema()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	res := Result{DCs: out, RowsCovered: rowsCovered}
-	if evErr != nil || aborted {
-		res.Partial = true
-		err := evErr
-		if err == nil {
-			err = pool.Err()
-		}
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-		if aborted {
-			// An aborted cover search may have missed covers entirely;
-			// report the prefix scan but no unsound DC list.
-			res.DCs = nil
+	if aborted {
+		// An aborted cover search may have missed covers entirely;
+		// report the prefix scan but no unsound DC list.
+		out = nil
+		if evErr == nil {
+			evErr = pool.Err()
 		}
 	}
-	reg.Counter("fastdc.dcs.found").Add(int64(len(res.DCs)))
-	return res
+	reg.Counter("fastdc.dcs.found").Add(int64(len(out)))
+	return Result{DCs: out, Outcome: run.Finish(evErr)}
 }
 
 // PredicateSpace builds the two-tuple predicate space: for every column,

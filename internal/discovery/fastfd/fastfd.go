@@ -39,10 +39,7 @@ type Options struct {
 // any worker count under a MaxTasks budget.
 type Result struct {
 	FDs []fd.FD
-	// Partial marks a truncated run.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Outcome
 	// Completed is the number of RHS attributes fully searched.
 	Completed int
 }
@@ -74,13 +71,11 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	full := attrset.Full(n)
 
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "fastfd")
+	run := engine.Start(ctx, "fastfd", opts.Workers, opts.Budget, reg)
+	defer run.Close()
+	pool := run.Pool
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("cols", n)
-	defer run.End()
 
 	agreeSpan := run.Child(obs.KindPhase, "agree-sets")
 	agreeTimer := reg.Histogram("fastfd.agree.seconds").Start()
@@ -90,8 +85,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	agreeSpan.End()
 	reg.Counter("fastfd.agree_sets").Add(int64(len(agree)))
 	if err != nil {
-		run.SetAttr("stop", engine.Reason(err))
-		return Result{Partial: true, Reason: engine.Reason(err)}
+		return Result{Outcome: run.Finish(err)}
 	}
 	// Deterministic agree-set order, shared by every RHS search.
 	agreeList := make([]attrset.Set, 0, len(agree))
@@ -163,11 +157,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		return results[i].RHS < results[j].RHS
 	})
 	reg.Counter("fastfd.fds.found").Add(int64(len(results)))
-	if runErr != nil {
-		run.SetAttr("stop", engine.Reason(runErr))
-		return Result{FDs: results, Partial: true, Reason: engine.Reason(runErr), Completed: done}
-	}
-	return Result{FDs: results, Completed: n}
+	return Result{FDs: results, Outcome: run.Finish(runErr), Completed: done}
 }
 
 // agreeSets computes the set of agree sets ag(t1,t2) over all tuple pairs

@@ -60,10 +60,7 @@ func (o Options) withDefaults(r *relation.Relation) Options {
 // deterministic prefix of the level-wise candidate enumeration.
 type Result struct {
 	FFDs []ffd.FFD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Outcome
 	// Completed is the number of candidates validated.
 	Completed int
 }
@@ -101,17 +98,10 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		return out
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "ffddisc")
+	run := engine.Start(ctx, "ffddisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("columns", n)
-	defer run.End()
-
-	var found []ffd.FFD
-	foundKey := map[string]bool{}
-	completed := 0
 
 	// Level 1: all ordered (a, b) pairs.
 	type pair struct{ a, b int }
@@ -124,17 +114,15 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	l1Span := run.Child(obs.KindPhase, "level-1")
-	hits1, done1, err := engine.MapBudget(pool, len(l1), batch, func(i int) bool {
-		return mk([]int{l1[i].a}, l1[i].b).Holds(r)
+	found, completed, err := engine.Keep(run.Pool, len(l1), batch, func(i int) (ffd.FFD, bool) {
+		f := mk([]int{l1[i].a}, l1[i].b)
+		return f, f.Holds(r)
 	})
-	l1Span.SetAttr("completed", done1)
+	l1Span.SetAttr("completed", completed)
 	l1Span.End()
-	completed += done1
-	for i := 0; i < done1; i++ {
-		if hits1[i] {
-			found = append(found, mk([]int{l1[i].a}, l1[i].b))
-			foundKey[key([]int{l1[i].a}, l1[i].b)] = true
-		}
+	foundKey := map[string]bool{}
+	for _, f := range found {
+		foundKey[key([]int{f.LHS[0].Col}, f.RHS[0].Col)] = true
 	}
 
 	// Level 2 with minimality pruning against the full level-1 set.
@@ -155,30 +143,21 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 			}
 		}
 		l2Span := run.Child(obs.KindPhase, "level-2")
-		var hits2 []bool
+		var found2 []ffd.FFD
 		var done2 int
-		hits2, done2, err = engine.MapBudget(pool, len(l2), batch, func(i int) bool {
-			return mk([]int{l2[i].a, l2[i].b}, l2[i].rhs).Holds(r)
+		found2, done2, err = engine.Keep(run.Pool, len(l2), batch, func(i int) (ffd.FFD, bool) {
+			f := mk([]int{l2[i].a, l2[i].b}, l2[i].rhs)
+			return f, f.Holds(r)
 		})
 		l2Span.SetAttr("completed", done2)
 		l2Span.End()
 		completed += done2
-		for i := 0; i < done2; i++ {
-			if hits2[i] {
-				found = append(found, mk([]int{l2[i].a, l2[i].b}, l2[i].rhs))
-			}
-		}
+		found = append(found, found2...)
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].String() < found[j].String() })
 	reg.Counter("ffddisc.candidates.checked").Add(int64(completed))
 	reg.Counter("ffddisc.ffds.valid").Add(int64(len(found)))
-	res := Result{FFDs: found, Completed: completed}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{FFDs: found, Outcome: run.Finish(err), Completed: completed}
 }
 
 func key(cols []int, rhs int) string {

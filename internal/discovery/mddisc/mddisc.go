@@ -69,10 +69,7 @@ func (o Options) withDefaults() Options {
 // deterministic prefix of the candidate-attribute enumeration order.
 type Result struct {
 	MDs []md.MD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Outcome
 	// Completed is the number of candidate attributes searched.
 	Completed int
 }
@@ -114,23 +111,16 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "mddisc")
+	run := engine.Start(ctx, "mddisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("candidates", len(cols))
-	defer run.End()
 
-	type hit struct {
-		best float64
-		ok   bool
-	}
 	searchSpan := run.Child(obs.KindPhase, "threshold-search")
-	hits, done, err := engine.MapBudget(pool, len(cols), batch, func(i int) hit {
+	out, done, err := engine.Keep(run.Pool, len(cols), batch, func(i int) (md.MD, bool) {
 		c := cols[i]
 		m := metric.ForKind(r.Schema().Attr(c).Kind)
-		h := hit{best: -1}
+		best, ok := -1.0, false
 		for _, t := range opts.Thresholds {
 			cand := md.MD{
 				LHS:    []md.SimAttr{{Col: c, Metric: m, MaxDist: t}},
@@ -139,37 +129,20 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 			}
 			support, conf := cand.SupportConfidence(eval)
 			if support >= opts.MinSupport && conf >= opts.MinConfidence {
-				if !h.ok || t > h.best {
-					h.best = t
-					h.ok = true
+				if !ok || t > best {
+					best = t
+					ok = true
 				}
 			}
 		}
-		return h
+		return md.MD{LHS: []md.SimAttr{{Col: c, Metric: m, MaxDist: best}}, RHS: rhsCols, Schema: r.Schema()}, ok
 	})
 	searchSpan.SetAttr("completed", done)
 	searchSpan.End()
 	reg.Counter("mddisc.candidates.checked").Add(int64(done))
-
-	var out []md.MD
-	for i := 0; i < done; i++ {
-		if hits[i].ok {
-			out = append(out, md.MD{
-				LHS:    []md.SimAttr{{Col: cols[i], Metric: metric.ForKind(r.Schema().Attr(cols[i]).Kind), MaxDist: hits[i].best}},
-				RHS:    rhsCols,
-				Schema: r.Schema(),
-			})
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LHS[0].Col < out[j].LHS[0].Col })
 	reg.Counter("mddisc.mds.valid").Add(int64(len(out)))
-	res := Result{MDs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{MDs: out, Outcome: run.Finish(err), Completed: done}
 }
 
 // RelativeCandidateKeys finds the minimal attribute sets X (within

@@ -47,10 +47,7 @@ func (o Options) withDefaults() Options {
 // deterministic prefix of the (X, Y) candidate enumeration.
 type Result struct {
 	MVDs []mvd.MVD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Outcome
 	// Completed is the number of candidates validated.
 	Completed int
 }
@@ -118,13 +115,10 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	})
 
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "mvddisc")
+	run := engine.Start(ctx, "mvddisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("lhs-groups", len(lhsSets))
-	defer run.End()
 	searchSpan := run.Child(obs.KindPhase, "candidate-validation")
 
 	completed := 0
@@ -154,17 +148,15 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 				cands = append(cands, y)
 			}
 		}
-		hits, done, err := engine.MapBudget(pool, len(cands), batch, func(i int) bool {
+		valid, done, err := engine.Keep(run.Pool, len(cands), batch, func(i int) (mvd.MVD, bool) {
 			m := mvd.MVD{LHS: x, RHS: cands[i], NumAttrs: n, Schema: r.Schema()}
-			return m.SpuriousRatio(r) <= opts.MaxSpurious
+			return m, m.SpuriousRatio(r) <= opts.MaxSpurious
 		})
 		completed += done
-		for i := 0; i < done; i++ {
-			if hits[i] {
-				found = append(found, mvd.MVD{LHS: x, RHS: cands[i], NumAttrs: n, Schema: r.Schema()})
-				reported[[2]attrset.Set{x, cands[i]}] = true
-			}
+		for _, m := range valid {
+			reported[[2]attrset.Set{x, m.RHS}] = true
 		}
+		found = append(found, valid...)
 		if err != nil {
 			stopErr = err
 			break
@@ -174,11 +166,5 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	searchSpan.End()
 	reg.Counter("mvddisc.candidates.checked").Add(int64(completed))
 	reg.Counter("mvddisc.mvds.valid").Add(int64(len(found)))
-	res := Result{MVDs: found, Completed: completed}
-	if stopErr != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(stopErr)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{MVDs: found, Outcome: run.Finish(stopErr), Completed: completed}
 }

@@ -63,10 +63,7 @@ func (o Options) withDefaults() Options {
 // order, then pairs in lexicographic order).
 type Result struct {
 	NEDs []ned.NED
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Outcome
 	// Completed is the number of attribute combinations searched.
 	Completed int
 }
@@ -108,47 +105,42 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "nedisc")
+	run := engine.Start(ctx, "nedisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", n)
 	run.SetAttr("columns", len(cols))
-	defer run.End()
 
-	// Precompute pairwise distances (one pool task per column, writing to
-	// its own pre-allocated slice) and RHS agreement (shared, sequential).
+	// Precompute RHS agreement (shared, sequential) and the pairwise
+	// distances (one pool task per column, each filling its own slice).
+	// engine.Pairs allocates only for a live run and polls it once per
+	// row, so a stopped run never pays the O(n²) arrays.
 	preSpan := run.Child(obs.KindPhase, "pair-precompute")
-	pairCount := n * (n - 1) / 2
 	metrics := map[int]metric.Metric{}
-	dist := map[int][]float64{}
 	for _, c := range cols {
 		metrics[c] = metric.ForKind(r.Schema().Attr(c).Kind)
-		dist[c] = make([]float64, pairCount)
 	}
-	rhs := make([]bool, 0, pairCount)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			rhs = append(rhs, opts.RHS.Agree(r, i, j))
-		}
-	}
-	preErr := pool.ForEach(len(cols), func(ci int) {
-		c := cols[ci]
-		m := metrics[c]
-		d := dist[c]
-		k := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				d[k] = m.Distance(r.Value(i, c), r.Value(j, c))
-				k++
+	perCol := make([][]float64, len(cols))
+	rhs, preErr := engine.Pairs(run.Pool, n, func(i, j int) bool { return opts.RHS.Agree(r, i, j) })
+	if preErr == nil {
+		preErr = run.Pool.ForEach(len(cols), func(ci int) {
+			c := cols[ci]
+			m := metrics[c]
+			d, err := engine.Pairs(run.Pool, n, func(i, j int) float64 { return m.Distance(r.Value(i, c), r.Value(j, c)) })
+			if err != nil {
+				engine.Abort(err)
 			}
-		}
-	})
+			perCol[ci] = d
+		})
+	}
 	preSpan.End()
 	if preErr != nil {
-		// Budget tripped before any combination was searched: the
+		// Stopped before any combination was searched: the
 		// deterministic empty prefix.
-		return Result{Partial: true, Reason: engine.Reason(preErr)}
+		return Result{Outcome: run.Finish(preErr)}
+	}
+	dist := make(map[int][]float64, len(cols))
+	for ci, c := range cols {
+		dist[c] = perCol[ci]
 	}
 	thresholds := map[int][]float64{}
 	for _, c := range cols {
@@ -232,33 +224,16 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	run.SetAttr("candidates", len(cands))
-	type hit struct {
-		terms []ned.Term
-		ok    bool
-	}
 	searchSpan := run.Child(obs.KindPhase, "threshold-search")
-	hits, done, err := engine.MapBudget(pool, len(cands), batch, func(i int) hit {
+	out, done, err := engine.Keep(run.Pool, len(cands), batch, func(i int) (ned.NED, bool) {
 		terms, ok := maximal(cands[i])
-		return hit{terms: terms, ok: ok}
+		return ned.NED{LHS: terms, RHS: opts.RHS, Schema: r.Schema()}, ok
 	})
 	searchSpan.SetAttr("completed", done)
 	searchSpan.End()
 	reg.Counter("nedisc.candidates.checked").Add(int64(done))
-
-	var out []ned.NED
-	for i := 0; i < done; i++ {
-		if hits[i].ok {
-			out = append(out, ned.NED{LHS: hits[i].terms, RHS: opts.RHS, Schema: r.Schema()})
-		}
-	}
 	reg.Counter("nedisc.neds.valid").Add(int64(len(out)))
-	res := Result{NEDs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{NEDs: out, Outcome: run.Finish(err), Completed: done}
 }
 
 func candidateThresholds(dist []float64, k int) []float64 {

@@ -30,10 +30,7 @@ type LexOptions struct {
 // a deterministic prefix of the width-level candidate enumeration.
 type LexResult struct {
 	ODs []od.LexOD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Outcome
 	// Completed is the number of candidates validated.
 	Completed int
 }
@@ -97,13 +94,10 @@ func DiscoverLexContext(ctx context.Context, r *relation.Relation, opts LexOptio
 	sort.SliceStable(lhsLists, func(i, j int) bool { return len(lhsLists[i]) < len(lhsLists[j]) })
 
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "lexdisc")
+	run := engine.Start(ctx, "lexdisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("lhs-lists", len(lhsLists))
-	defer run.End()
 	checkSpan := run.Child(obs.KindPhase, "candidate-validation")
 
 	// valid prefixes: map canonical rendering of (LHS prefix, RHS) pairs.
@@ -162,19 +156,16 @@ func DiscoverLexContext(ctx context.Context, r *relation.Relation, opts LexOptio
 				}
 			}
 		}
-		hits, done, err := engine.MapBudget(pool, len(cands), lexBatch, func(i int) bool {
-			return (od.LexOD{LHS: cands[i].lhs, RHS: cands[i].rhs, Schema: r.Schema()}).Holds(r)
+		valid, done, err := engine.Keep(run.Pool, len(cands), lexBatch, func(i int) (od.LexOD, bool) {
+			c := od.LexOD{LHS: cands[i].lhs, RHS: cands[i].rhs, Schema: r.Schema()}
+			return c, c.Holds(r)
 		})
 		completed += done
-		for i := 0; i < done; i++ {
-			if hits[i] {
-				validPrefix[key{render(cands[i].lhs), render(cands[i].rhs)}] = true
-				out = append(out, od.LexOD{LHS: cands[i].lhs, RHS: cands[i].rhs, Schema: r.Schema()})
-			}
+		for _, c := range valid {
+			validPrefix[key{render(c.LHS), render(c.RHS)}] = true
 		}
-		if err != nil {
-			stopErr = err
-		}
+		out = append(out, valid...)
+		stopErr = err
 		lo = hi
 	}
 	checkSpan.SetAttr("completed", completed)
@@ -183,11 +174,5 @@ func DiscoverLexContext(ctx context.Context, r *relation.Relation, opts LexOptio
 
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	reg.Counter("lexdisc.ods.valid").Add(int64(len(out)))
-	res := LexResult{ODs: out, Completed: completed}
-	if stopErr != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(stopErr)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return LexResult{ODs: out, Outcome: run.Finish(stopErr), Completed: completed}
 }

@@ -45,10 +45,7 @@ type Options struct {
 // deterministic prefix of the candidate enumeration order.
 type Result struct {
 	ODs []od.OD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks", ...).
-	Reason string
+	engine.Outcome
 	// Completed is the number of candidate ODs checked.
 	Completed int
 }
@@ -105,13 +102,10 @@ func discover(ctx context.Context, r *relation.Relation, opts Options, setBased 
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "oddisc")
+	run := engine.Start(ctx, "oddisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("candidates", len(cands))
-	defer run.End()
 
 	check := func(i int) bool { return cands[i].Holds(r) }
 	var orders *colOrders
@@ -128,7 +122,7 @@ func discover(ctx context.Context, r *relation.Relation, opts Options, setBased 
 
 	checkSpan := run.Child(obs.KindPhase, "candidate-checks")
 	checkTimer := reg.Histogram("oddisc.checks.seconds").Start()
-	valid, done, err := engine.MapBudget(pool, len(cands), 0, check)
+	out, done, err := engine.Keep(run.Pool, len(cands), 0, func(i int) (od.OD, bool) { return cands[i], check(i) })
 	checkTimer()
 	checkSpan.SetAttr("completed", done)
 	if orders != nil {
@@ -136,21 +130,9 @@ func discover(ctx context.Context, r *relation.Relation, opts Options, setBased 
 	}
 	checkSpan.End()
 	reg.Counter("oddisc.candidates.checked").Add(int64(done))
-	var out []od.OD
-	for i := 0; i < done; i++ {
-		if valid[i] {
-			out = append(out, cands[i])
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	reg.Counter("oddisc.ods.valid").Add(int64(len(out)))
-	res := Result{ODs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{ODs: out, Outcome: run.Finish(err), Completed: done}
 }
 
 // Minimal reduces an OD list to a canonical cover: a subset with the

@@ -56,10 +56,7 @@ func (o Options) withDefaults() Options {
 // prefix of the level-wise candidate enumeration.
 type Result struct {
 	PFDs []pfd.PFD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Outcome
 	// Completed is the number of candidates checked.
 	Completed int
 }
@@ -101,29 +98,19 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		level = attrset.NextLevel(level)
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "pfddisc")
+	run := engine.Start(ctx, "pfddisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("candidates", len(cands))
-	defer run.End()
 
 	checkSpan := run.Child(obs.KindPhase, "probability-check")
-	hits, done, err := engine.MapBudget(pool, len(cands), batch, func(i int) bool {
+	out, done, err := engine.Keep(run.Pool, len(cands), batch, func(i int) (pfd.PFD, bool) {
 		c := pfd.PFD{LHS: cands[i].x, RHS: attrset.Single(cands[i].a), MinProb: opts.MinProb, Schema: r.Schema()}
-		return c.Probability(r) >= opts.MinProb
+		return c, c.Probability(r) >= opts.MinProb
 	})
 	checkSpan.SetAttr("completed", done)
 	checkSpan.End()
 	reg.Counter("pfddisc.candidates.checked").Add(int64(done))
-
-	var out []pfd.PFD
-	for i := 0; i < done; i++ {
-		if hits[i] {
-			out = append(out, pfd.PFD{LHS: cands[i].x, RHS: attrset.Single(cands[i].a), MinProb: opts.MinProb, Schema: r.Schema()})
-		}
-	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].LHS != out[j].LHS {
 			return out[i].LHS < out[j].LHS
@@ -131,13 +118,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		return out[i].RHS < out[j].RHS
 	})
 	reg.Counter("pfddisc.pfds.valid").Add(int64(len(out)))
-	res := Result{PFDs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{PFDs: out, Outcome: run.Finish(err), Completed: done}
 }
 
 // SourceProbability is the per-source probability of one FD, used by the

@@ -94,12 +94,9 @@ func fdVerifier(r *relation.Relation, maxErr float64) func(fd.FD) bool {
 type Output struct {
 	// Lines holds one rendered dependency per line, in the CLI's order.
 	Lines []string
-	// Partial marks a budget/cancellation/panic-truncated run; Lines is
+	// Outcome marks a budget/cancellation/panic-truncated run; Lines is
 	// then a deterministic prefix of the full run's lines.
-	Partial bool
-	// Reason is the stable stop token ("deadline", "max-tasks",
-	// "cancelled", "panic: ..."); empty when complete.
-	Reason string
+	engine.Outcome
 }
 
 // Text renders the output exactly as `deptool discover` writes it to
@@ -146,12 +143,27 @@ type Algo struct {
 
 // render maps a discovery result slice to output lines via fmt.Sprint
 // (every dependency type carries a String method).
-func render[T fmt.Stringer](xs []T, partial bool, reason string) Output {
-	out := Output{Partial: partial, Reason: reason}
+func render[T fmt.Stringer](xs []T, outcome engine.Outcome) Output {
+	out := Output{Outcome: outcome}
 	for _, x := range xs {
 		out.Lines = append(out.Lines, fmt.Sprint(x))
 	}
 	return out
+}
+
+// discoverer is one discovery run over a relation, full or sampled.
+type discoverer[T any] func(ctx context.Context, r *relation.Relation) ([]T, engine.Outcome)
+
+// sampleOr runs discover on the full relation or, when o.SampleRows is
+// set, on a sample through sampling.Run, keeping only the candidates
+// verify confirms on the full relation. The verifiers build their state
+// lazily, so full mode pays nothing for the one it does not call.
+func sampleOr[T any](ctx context.Context, r *relation.Relation, o RunOptions, discover discoverer[T], verify func(T) bool) ([]T, engine.Outcome) {
+	if o.SampleRows <= 0 {
+		return discover(ctx, r)
+	}
+	res := sampling.Run(ctx, r, samplingOptions(o), discover, verify)
+	return res.Verified, res.Outcome
 }
 
 // lastCol returns the default RHS column for RHS-directed discoverers:
@@ -168,17 +180,10 @@ var algos = []Algo{
 		Doc:      "TANE partition-based (approximate) FD discovery",
 		Sampling: true, Incremental: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			if o.SampleRows > 0 {
-				res := sampling.Run(ctx, r, samplingOptions(o),
-					func(ctx context.Context, s *relation.Relation) ([]fd.FD, bool, string) {
-						dr := tane.DiscoverContext(ctx, s, tane.Options{MaxError: o.MaxErr, Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-						return dr.FDs, dr.Partial, dr.Reason
-					},
-					fdVerifier(r, o.MaxErr))
-				return render(res.Verified, res.Partial, res.Reason)
-			}
-			res := tane.DiscoverContext(ctx, r, tane.Options{MaxError: o.MaxErr, Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.FDs, res.Partial, res.Reason)
+			return render(sampleOr(ctx, r, o, func(ctx context.Context, s *relation.Relation) ([]fd.FD, engine.Outcome) {
+				res := tane.DiscoverContext(ctx, s, tane.Options{MaxError: o.MaxErr, Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+				return res.FDs, res.Outcome
+			}, fdVerifier(r, o.MaxErr)))
 		},
 	},
 	{
@@ -186,17 +191,10 @@ var algos = []Algo{
 		Doc:      "FastFD difference-set FD discovery",
 		Sampling: true, Incremental: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			if o.SampleRows > 0 {
-				res := sampling.Run(ctx, r, samplingOptions(o),
-					func(ctx context.Context, s *relation.Relation) ([]fd.FD, bool, string) {
-						dr := fastfd.DiscoverContext(ctx, s, fastfd.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-						return dr.FDs, dr.Partial, dr.Reason
-					},
-					fdVerifier(r, 0))
-				return render(res.Verified, res.Partial, res.Reason)
-			}
-			res := fastfd.DiscoverContext(ctx, r, fastfd.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.FDs, res.Partial, res.Reason)
+			return render(sampleOr(ctx, r, o, func(ctx context.Context, s *relation.Relation) ([]fd.FD, engine.Outcome) {
+				res := fastfd.DiscoverContext(ctx, s, fastfd.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+				return res.FDs, res.Outcome
+			}, fdVerifier(r, 0)))
 		},
 	},
 	{
@@ -204,7 +202,7 @@ var algos = []Algo{
 		Doc: "CORDS soft-FD (correlation) discovery",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := cords.DiscoverContext(ctx, r, cords.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.SFDs, res.Partial, res.Reason)
+			return render(res.SFDs, res.Outcome)
 		},
 	},
 	{
@@ -212,7 +210,7 @@ var algos = []Algo{
 		Doc: "FastDC denial-constraint discovery (2-predicate)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := fastdc.DiscoverContext(ctx, r, fastdc.Options{MaxPredicates: 2, Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.DCs, res.Partial, res.Reason)
+			return render(res.DCs, res.Outcome)
 		},
 	},
 	{
@@ -220,22 +218,16 @@ var algos = []Algo{
 		Doc:      "Set-based order dependency discovery (minimal ODs)",
 		Sampling: true, Incremental: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			if o.SampleRows > 0 {
-				// One set-based verifier over the full relation: per-column
-				// rank arrays are built once, each candidate check is a
-				// linear scan. Minimality is re-derived over the verified
-				// set, since verification can thin the transitive structure.
-				verifier := oddisc.NewVerifier(r)
-				res := sampling.Run(ctx, r, samplingOptions(o),
-					func(ctx context.Context, s *relation.Relation) ([]od.OD, bool, string) {
-						dr := oddisc.DiscoverContext(ctx, s, oddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-						return dr.ODs, dr.Partial, dr.Reason
-					},
-					verifier.Holds)
-				return render(oddisc.Minimal(res.Verified), res.Partial, res.Reason)
-			}
-			res := oddisc.DiscoverContext(ctx, r, oddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(oddisc.Minimal(res.ODs), res.Partial, res.Reason)
+			// A sampled run verifies with one set-based verifier over the
+			// full relation: per-column rank arrays are built once, each
+			// candidate check is a linear scan. Minimality is derived over
+			// the verified set, since verification can thin the transitive
+			// structure.
+			ods, outcome := sampleOr(ctx, r, o, func(ctx context.Context, s *relation.Relation) ([]od.OD, engine.Outcome) {
+				res := oddisc.DiscoverContext(ctx, s, oddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+				return res.ODs, res.Outcome
+			}, oddisc.NewVerifier(r).Holds)
+			return render(oddisc.Minimal(ods), outcome)
 		},
 	},
 	{
@@ -243,17 +235,10 @@ var algos = []Algo{
 		Doc:      "Lexicographic order dependency discovery",
 		Sampling: true, Incremental: true,
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
-			if o.SampleRows > 0 {
-				res := sampling.Run(ctx, r, samplingOptions(o),
-					func(ctx context.Context, s *relation.Relation) ([]od.LexOD, bool, string) {
-						dr := oddisc.DiscoverLexContext(ctx, s, oddisc.LexOptions{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-						return dr.ODs, dr.Partial, dr.Reason
-					},
-					func(c od.LexOD) bool { return c.Holds(r) })
-				return render(res.Verified, res.Partial, res.Reason)
-			}
-			res := oddisc.DiscoverLexContext(ctx, r, oddisc.LexOptions{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.ODs, res.Partial, res.Reason)
+			return render(sampleOr(ctx, r, o, func(ctx context.Context, s *relation.Relation) ([]od.LexOD, engine.Outcome) {
+				res := oddisc.DiscoverLexContext(ctx, s, oddisc.LexOptions{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
+				return res.ODs, res.Outcome
+			}, func(c od.LexOD) bool { return c.Holds(r) }))
 		},
 	},
 	{
@@ -261,7 +246,7 @@ var algos = []Algo{
 		Doc: "CFDMiner-style minimal constant CFD mining",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := cfddisc.DiscoverContext(ctx, r, cfddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.CFDs, res.Partial, res.Reason)
+			return render(res.CFDs, res.Outcome)
 		},
 	},
 	{
@@ -269,7 +254,7 @@ var algos = []Algo{
 		Doc: "Probabilistic FD discovery (majority-probability counting)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := pfddisc.DiscoverContext(ctx, r, pfddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.PFDs, res.Partial, res.Reason)
+			return render(res.PFDs, res.Outcome)
 		},
 	},
 	{
@@ -277,7 +262,7 @@ var algos = []Algo{
 		Doc: "Fuzzy FD discovery over resemblance relations",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := ffddisc.DiscoverContext(ctx, r, ffddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.FFDs, res.Partial, res.Reason)
+			return render(res.FFDs, res.Outcome)
 		},
 	},
 	{
@@ -285,7 +270,7 @@ var algos = []Algo{
 		Doc: "Matching dependency discovery (RHS: last column)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := mddisc.DiscoverContext(ctx, r, mddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.MDs, res.Partial, res.Reason)
+			return render(res.MDs, res.Outcome)
 		},
 	},
 	{
@@ -300,7 +285,7 @@ var algos = []Algo{
 				RHS:     dd.DiffFunc{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Op: dd.OpLe, Threshold: 0},
 				Workers: o.Workers, Budget: o.Budget, Obs: o.Obs,
 			})
-			return render(res.DDs, res.Partial, res.Reason)
+			return render(res.DDs, res.Outcome)
 		},
 	},
 	{
@@ -315,7 +300,7 @@ var algos = []Algo{
 				RHS:     ned.Predicate{{Col: c, Metric: metric.ForKind(r.Schema().Attr(c).Kind), Threshold: 0}},
 				Workers: o.Workers, Budget: o.Budget, Obs: o.Obs,
 			})
-			return render(res.NEDs, res.Partial, res.Reason)
+			return render(res.NEDs, res.Outcome)
 		},
 	},
 	{
@@ -323,7 +308,7 @@ var algos = []Algo{
 		Doc: "Comparable dependency discovery (pay-as-you-go session)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := cddisc.DiscoverContext(ctx, r, cddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.CDs, res.Partial, res.Reason)
+			return render(res.CDs, res.Outcome)
 		},
 	},
 	{
@@ -331,7 +316,7 @@ var algos = []Algo{
 		Doc: "Multivalued dependency discovery (top-down search)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := mvddisc.DiscoverContext(ctx, r, mvddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.MVDs, res.Partial, res.Reason)
+			return render(res.MVDs, res.Outcome)
 		},
 	},
 	{
@@ -339,7 +324,7 @@ var algos = []Algo{
 		Doc: "Sequential dependency discovery (fitted gap intervals)",
 		Run: func(ctx context.Context, r *relation.Relation, o RunOptions) Output {
 			res := sddisc.DiscoverContext(ctx, r, sddisc.Options{Workers: o.Workers, Budget: o.Budget, Obs: o.Obs})
-			return render(res.SDs, res.Partial, res.Reason)
+			return render(res.SDs, res.Outcome)
 		},
 	},
 }

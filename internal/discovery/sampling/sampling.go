@@ -46,8 +46,10 @@ type Options struct {
 	Workers int
 	// Budget bounds the verification fan-out (the discovery phase runs
 	// under the discoverer's own budget, passed by the caller's closure).
-	// An exhausted budget truncates verification to a deterministic
-	// candidate prefix and marks the result Partial.
+	// Its deadline counts from the start of Run, so it bounds sample
+	// discovery and verification together. An exhausted budget truncates
+	// verification to a deterministic candidate prefix and marks the
+	// result Partial.
 	Budget engine.Budget
 	// Obs receives the sampling.candidates / sampling.verified /
 	// sampling.refuted counters and the run span. Nil is a no-op.
@@ -67,12 +69,10 @@ type Result[T any] struct {
 	// Sampled reports whether a strict sample was used (false when Rows
 	// covered the whole relation and discovery was exact).
 	Sampled bool
-	// Partial marks a truncated run: the sample discovery stopped early,
-	// or the verification budget ran out. Verified then covers a
-	// deterministic prefix of the candidates.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	// Outcome marks a truncated run: the sample discovery stopped early
+	// (its reason wins), or the verification budget ran out. Verified
+	// then covers a deterministic prefix of the candidates.
+	engine.Outcome
 }
 
 // Sample returns the deterministic seeded row sample: rows rows chosen
@@ -96,52 +96,42 @@ func Sample(r *relation.Relation, rows int, seed int64) *relation.Relation {
 }
 
 // Run executes one sample-then-verify pass: discover proposes candidates
-// on the sample (returning its own partial/reason state), verify decides
-// one candidate exactly against the full relation. Only verified
-// candidates are returned; refuted ones are counted and dropped.
+// on the sample (returning its own Outcome), verify decides one candidate
+// exactly against the full relation. Only verified candidates are
+// returned; refuted ones are counted and dropped.
 func Run[T any](ctx context.Context, full *relation.Relation, opts Options,
-	discover func(ctx context.Context, sample *relation.Relation) ([]T, bool, string),
+	discover func(ctx context.Context, sample *relation.Relation) ([]T, engine.Outcome),
 	verify func(cand T) bool) Result[T] {
 
 	reg := opts.Obs
 	sample := Sample(full, opts.Rows, opts.Seed)
 
-	span := reg.StartSpan(obs.KindRun, "sampling")
-	span.SetAttr("rows", full.Rows())
-	span.SetAttr("sample_rows", sample.Rows())
-	defer span.End()
+	run := engine.Start(ctx, "sampling", opts.Workers, opts.Budget, reg)
+	defer run.Close()
+	run.SetAttr("rows", full.Rows())
+	run.SetAttr("sample_rows", sample.Rows())
 
-	cands, partial, reason := discover(ctx, sample)
+	cands, out := discover(ctx, sample)
 	reg.Counter("sampling.candidates").Add(int64(len(cands)))
 
 	if sample == full {
 		// Trivial sample: discovery was exact, nothing to verify.
 		reg.Counter("sampling.verified").Add(int64(len(cands)))
-		return Result[T]{Verified: cands, Candidates: len(cands), Partial: partial, Reason: reason}
+		return Result[T]{Verified: cands, Candidates: len(cands), Outcome: out}
 	}
 
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-	verifySpan := span.Child(obs.KindPhase, "verify")
-	ok, done, err := engine.MapBudget(pool, len(cands), 0, func(i int) bool { return verify(cands[i]) })
+	verifySpan := run.Child(obs.KindPhase, "verify")
+	verified, done, err := engine.Keep(run.Pool, len(cands), 0, func(i int) (T, bool) { return cands[i], verify(cands[i]) })
 	verifySpan.SetAttr("completed", done)
 	verifySpan.End()
 
-	res := Result[T]{Candidates: len(cands), Sampled: true, Partial: partial, Reason: reason}
-	for i := 0; i < done; i++ {
-		if ok[i] {
-			res.Verified = append(res.Verified, cands[i])
-		} else {
-			res.Refuted++
-		}
-	}
+	res := Result[T]{Verified: verified, Candidates: len(cands), Refuted: done - len(verified), Sampled: true, Outcome: out}
 	reg.Counter("sampling.verified").Add(int64(len(res.Verified)))
 	reg.Counter("sampling.refuted").Add(int64(res.Refuted))
-	if err != nil {
-		res.Partial = true
-		if res.Reason == "" {
-			res.Reason = engine.Reason(err)
-		}
+	if !out.Partial {
+		// A discovery stop wins. A verification stop is reported in the
+		// Outcome only; the sampling span records no stop attribute.
+		res.Outcome = engine.Stopped(err)
 	}
 	return res
 }

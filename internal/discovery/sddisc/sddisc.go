@@ -37,10 +37,7 @@ type Options struct {
 // Result is an SD discovery outcome.
 type Result struct {
 	SDs []sd.SD
-	// Partial marks a run truncated by budget, cancellation or panic.
-	Partial bool
-	// Reason is the stable stop token; empty when complete.
-	Reason string
+	engine.Outcome
 	// Completed is the number of (X, Y) candidate pairs fitted.
 	Completed int
 }
@@ -80,38 +77,21 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		}
 	}
 	reg := opts.Obs
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "sddisc")
+	run := engine.Start(ctx, "sddisc", opts.Workers, opts.Budget, reg)
+	defer run.Close()
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("candidates", len(pairs))
-	defer run.End()
 
-	type hit struct {
-		s  sd.SD
-		ok bool
-	}
 	fitSpan := run.Child(obs.KindPhase, "interval-fit")
-	hits, done, err := engine.MapBudget(pool, len(pairs), batch, func(i int) hit {
+	out, done, err := engine.Keep(run.Pool, len(pairs), batch, func(i int) (sd.SD, bool) {
 		p := pairs[i]
 		g := FitInterval(r, []int{p.x}, p.y, opts.MinConfidence)
 		s := sd.SD{X: []int{p.x}, Y: p.y, G: g, Schema: r.Schema()}
-		if s.Confidence(r) < opts.MinConfidence {
-			return hit{}
-		}
-		return hit{s: s, ok: true}
+		return s, s.Confidence(r) >= opts.MinConfidence
 	})
 	fitSpan.SetAttr("completed", done)
 	fitSpan.End()
 	reg.Counter("sddisc.pairs.fitted").Add(int64(done))
-
-	var out []sd.SD
-	for i := 0; i < done; i++ {
-		if hits[i].ok {
-			out = append(out, hits[i].s)
-		}
-	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].X[0] != out[j].X[0] {
 			return out[i].X[0] < out[j].X[0]
@@ -119,13 +99,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		return out[i].Y < out[j].Y
 	})
 	reg.Counter("sddisc.sds.valid").Add(int64(len(out)))
-	res := Result{SDs: out, Completed: done}
-	if err != nil {
-		res.Partial = true
-		res.Reason = engine.Reason(err)
-		run.SetAttr("stop", res.Reason)
-	}
-	return res
+	return Result{SDs: out, Outcome: run.Finish(err), Completed: done}
 }
 
 // FitInterval returns the tightest gap interval g containing at least

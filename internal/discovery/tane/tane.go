@@ -60,14 +60,9 @@ type Options struct {
 // MaxTasks budget — rather than nothing.
 type Result struct {
 	FDs []fd.FD
-	// Partial marks a truncated run; FDs then covers only the completed
+	// Outcome marks a truncated run; FDs then covers only the completed
 	// lattice levels.
-	Partial bool
-	// Reason is the stable token for what stopped the run ("deadline",
-	// "max-tasks", "cancelled", "panic: ..."); empty when complete.
-	Reason string
-	// Levels is the number of lattice levels whose validation completed.
-	Levels int
+	engine.Outcome
 }
 
 // node carries per-lattice-node state: the stripped partition π_X and the
@@ -100,26 +95,23 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 		cache = engine.NewPartitionCacheBudget(r, 0, opts.Budget.MaxCacheBytes)
 		cache.SetObserver(reg)
 	}
-	pool := engine.NewObserved(ctx, max(opts.Workers, 1), 0, opts.Budget, reg)
-	defer pool.Close()
-
-	run := reg.StartSpan(obs.KindRun, "tane")
+	run := engine.Start(ctx, "tane", opts.Workers, opts.Budget, reg)
+	defer run.Close()
+	pool := run.Pool
 	run.SetAttr("rows", r.Rows())
 	run.SetAttr("cols", n)
-	defer run.End()
 	var levelSpan *obs.Span
 
 	// partial finalizes a truncated run: everything committed so far —
 	// whole fan-out phases, so identical for every worker count under a
 	// MaxTasks budget — plus the stop reason.
-	partial := func(results []fd.FD, levels int, err error) Result {
+	partial := func(results []fd.FD, err error) Result {
 		sortFDs(results)
-		reason := engine.Reason(err)
-		levelSpan.SetAttr("stop", reason)
+		out := run.Finish(err)
+		levelSpan.SetAttr("stop", out.Reason)
 		levelSpan.End()
-		run.SetAttr("stop", reason)
 		reg.Counter("tane.fds.found").Add(int64(len(results)))
-		return Result{FDs: results, Partial: true, Reason: reason, Levels: levels}
+		return Result{FDs: results, Outcome: out}
 	}
 
 	fullSet := attrset.Full(n)
@@ -135,7 +127,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	var constCols attrset.Set
 	for c := 0; c < n; c++ {
 		if err := pool.Err(); err != nil {
-			return partial(nil, 0, err)
+			return partial(nil, err)
 		}
 		p := cache.Get(attrset.Single(c))
 		prev[attrset.Single(c)] = &node{part: p, cand: fullSet}
@@ -149,7 +141,6 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	}
 
 	level := 1
-	completed := 1 // singleton level is done once prev is seeded
 	for len(prev) > 0 {
 		if opts.MaxLHS > 0 && level > opts.MaxLHS+1 {
 			break
@@ -198,7 +189,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 				return validated{fds: fds, cand: cand}
 			})
 			if err != nil {
-				return partial(results, completed, err)
+				return partial(results, err)
 			}
 			for i, x := range nodes {
 				prev[x].cand = checked[i].cand
@@ -248,7 +239,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 			return pruned{keep: true}
 		})
 		if err != nil {
-			return partial(results, completed, err)
+			return partial(results, err)
 		}
 		var keep []attrset.Set
 		for i, x := range nodes {
@@ -272,7 +263,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 			return &node{part: cache.Get(x), cand: cand}
 		})
 		if err != nil {
-			return partial(results, completed, err)
+			return partial(results, err)
 		}
 		next := make(map[attrset.Set]*node)
 		for i, x := range cands {
@@ -281,7 +272,6 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 			}
 		}
 		prev = next
-		completed = level
 		level++
 		levelTimer()
 		levelSpan.SetAttr("nodes", len(nodes))
@@ -291,7 +281,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) Re
 	}
 	sortFDs(results)
 	reg.Counter("tane.fds.found").Add(int64(len(results)))
-	return Result{FDs: results, Levels: completed}
+	return Result{FDs: results}
 }
 
 func sortFDs(fds []fd.FD) {

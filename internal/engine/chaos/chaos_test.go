@@ -215,6 +215,23 @@ func TestExternalContextCancellation(t *testing.T) {
 			}
 		}
 	})
+	// The pairwise discoverers' O(n²) precomputes must not run under a
+	// cancelled context: at 3,000 rows ned would otherwise allocate
+	// ~290 MB and dd ~4.5 MB before noticing.
+	big := gen.Hotels(gen.HotelConfig{Rows: 3000, Seed: 1})
+	for _, name := range []string{"dd", "ned"} {
+		a, _ := registry.Lookup(name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		oc := runOne(ctx, a, big, 4, engine.Budget{})
+		runtime.ReadMemStats(&after)
+		if !oc.partial || oc.reason != "cancelled" || oc.out != "" {
+			t.Errorf("%s at 3000 rows: partial=%v reason=%q lines=%q, want an empty cancelled partial", name, oc.partial, oc.reason, oc.out)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s at 3000 rows allocated %d bytes under a cancelled context, want < 1 MiB", name, alloc)
+		}
+	}
 }
 
 // TestPartialPrefixConsistency is the determinism half of the failure

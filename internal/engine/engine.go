@@ -1,8 +1,9 @@
 // Package engine is the shared parallel-execution substrate for the
 // discovery algorithms: a reusable bounded worker pool with context
 // cancellation, per-run resource budgets (budget.go), deterministic
-// fan-out helpers, and a concurrency-safe memoizing partition cache
-// (cache.go).
+// fan-out helpers, the run driver every budgeted discovery, detection
+// and repair goes through (run.go), and a concurrency-safe memoizing
+// partition cache (cache.go).
 //
 // The paper's Fig 3 places FD/CFD/OD/DC discovery in the
 // exponential-lattice difficulty band; the engine lets each level or

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // MaxSupportedRows is the hard ceiling on relation cardinality: row
@@ -130,6 +131,8 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 	attrs := make([]Attribute, len(header))
 	seen := make(map[string]bool, len(header))
 	for i, h := range header {
+		h = foldCR(h)
+		header[i] = h
 		if seen[h] {
 			// NewSchema treats duplicate names as a programming error and
 			// panics; for data read from the outside world it is an input
@@ -164,7 +167,7 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 			return nil, fmt.Errorf("relation: CSV line %d has %d fields, want %d", line, len(rec), len(header))
 		}
 		for c, field := range rec {
-			v, err := Parse(field, kinds[c])
+			v, err := Parse(foldCR(field), kinds[c])
 			if err != nil {
 				return nil, fmt.Errorf("relation: CSV line %d column %s: %w", line, header[c], err)
 			}
@@ -175,6 +178,36 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 		}
 	}
 	return r, nil
+}
+
+// foldCR rewrites every run of '\r' directly before a '\n' in a field to
+// the bare '\n'. encoding/csv folds a single "\r\n" inside a quoted
+// field, so "\r\r\n" reads as "\r\n"; WriteCSV emits that unchanged and
+// the next read would fold it again to "\n". Folding whole runs makes the
+// first read final. Fields without a '\r' are returned without
+// allocating.
+func foldCR(f string) string {
+	if strings.IndexByte(f, '\r') < 0 {
+		return f
+	}
+	var b strings.Builder
+	b.Grow(len(f))
+	for {
+		i := strings.IndexByte(f, '\r')
+		if i < 0 {
+			b.WriteString(f)
+			return b.String()
+		}
+		j := i
+		for j < len(f) && f[j] == '\r' {
+			j++
+		}
+		b.WriteString(f[:i])
+		if j == len(f) || f[j] != '\n' {
+			b.WriteString(f[i:j])
+		}
+		f = f[j:]
+	}
 }
 
 // checkFields enforces the per-field byte bound on one CSV record.

@@ -77,10 +77,10 @@ func TestEffectiveMaxRowsCeiling(t *testing.T) {
 		maxRows int
 		want    int
 	}{
-		{0, MaxSupportedRows},                  // zero value: the ceiling still applies
-		{-1, MaxSupportedRows},                 // negative: treated as unset
-		{2, 2},                                 // tighter bounds stay in force
-		{MaxSupportedRows, MaxSupportedRows},   // exactly the ceiling
+		{0, MaxSupportedRows},                    // zero value: the ceiling still applies
+		{-1, MaxSupportedRows},                   // negative: treated as unset
+		{2, 2},                                   // tighter bounds stay in force
+		{MaxSupportedRows, MaxSupportedRows},     // exactly the ceiling
 		{MaxSupportedRows + 7, MaxSupportedRows}, // looser than representable: clamped
 	}
 	for _, tc := range cases {

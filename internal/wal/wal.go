@@ -131,17 +131,17 @@ type Log struct {
 	fs   fsx.FS
 	opts Options
 
-	mu           sync.Mutex
-	f            fsx.File
-	size         int64 // current file size including any unverified tail
-	lastGood     int64 // end offset of the last verified frame
-	pendingRepair bool // a failed append left bytes past lastGood
-	replayed     bool
-	closed       bool
-	tornTail     int
-	quarantined  int
-	migrated     bool
-	records      int
+	mu            sync.Mutex
+	f             fsx.File
+	size          int64 // current file size including any unverified tail
+	lastGood      int64 // end offset of the last verified frame
+	pendingRepair bool  // a failed append left bytes past lastGood
+	replayed      bool
+	closed        bool
+	tornTail      int
+	quarantined   int
+	migrated      bool
+	records       int
 }
 
 // Open opens or creates the log at path. A new file gets the versioned
