@@ -113,15 +113,31 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 	if lim.MaxBytes > 0 {
 		src = &limitedReader{src: src, max: lim.MaxBytes}
 	}
+	return readCSV(name, src, kinds, false, lim)
+}
+
+// readCSV is the one record loop behind both readers. Each record is
+// checked in order — the byte and row bounds, field bytes, width, then
+// (for given kinds) each field's parse — so the error reported is the
+// one on the earliest failing line. Cells are buffered per column in
+// chunks (see colBuf) and every column is allocated once, at its final
+// length, after the last record. With infer set, kinds must be nil and
+// each column's kind is decided from its buffered fields (inferColumn);
+// otherwise nil kinds read every column as a string.
+func readCSV(name string, src io.Reader, kinds []Kind, infer bool, lim Limits) (*Relation, error) {
 	cr := csv.NewReader(src)
 	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
+	// Only the record slice is reused: each Read returns new field
+	// strings, so buffering them is safe.
+	cr.ReuseRecord = true
+	rec, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: read CSV header: %w", err)
 	}
-	if err := checkFields(header, lim); err != nil {
+	if err := checkFields(rec, lim); err != nil {
 		return nil, err
 	}
+	header := append([]string(nil), rec...)
 	if kinds == nil {
 		kinds = make([]Kind, len(header))
 	}
@@ -142,8 +158,16 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 		seen[h] = true
 		attrs[i] = Attribute{Name: h, Kind: kinds[i]}
 	}
-	r := New(name, NewSchema(attrs...))
-	row := make([]Value, len(header))
+	// Inferred columns buffer raw fields, typed ones parsed values.
+	var fields []colBuf[string]
+	var vals []colBuf[Value]
+	if infer {
+		fields = make([]colBuf[string], len(header))
+	} else {
+		vals = make([]colBuf[Value], len(header))
+	}
+	maxRows := lim.effectiveMaxRows()
+	rows := 0
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -156,7 +180,7 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 			}
 			return nil, fmt.Errorf("relation: read CSV line %d: %w", line, err)
 		}
-		if maxRows := lim.effectiveMaxRows(); line-1 > maxRows {
+		if line-1 > maxRows {
 			return nil, fmt.Errorf("relation: read CSV: %w",
 				&ErrInputTooLarge{What: "rows", Limit: int64(maxRows), Got: int64(line - 1)})
 		}
@@ -167,17 +191,107 @@ func ReadCSVLimits(name string, src io.Reader, kinds []Kind, lim Limits) (*Relat
 			return nil, fmt.Errorf("relation: CSV line %d has %d fields, want %d", line, len(rec), len(header))
 		}
 		for c, field := range rec {
-			v, err := Parse(foldCR(field), kinds[c])
+			field = foldCR(field)
+			if infer {
+				fields[c].push(field)
+				continue
+			}
+			v, err := Parse(field, kinds[c])
 			if err != nil {
 				return nil, fmt.Errorf("relation: CSV line %d column %s: %w", line, header[c], err)
 			}
-			row[c] = v
+			vals[c].push(v)
 		}
-		if err := r.Append(row); err != nil {
-			return nil, err
+		rows++
+	}
+	cols := make([][]Value, len(header))
+	for c := range cols {
+		if infer {
+			cols[c], attrs[c].Kind = inferColumn(&fields[c])
+			fields[c] = colBuf[string]{} // release the raw fields early
+		} else {
+			cols[c] = vals[c].flatten()
 		}
 	}
-	return r, nil
+	return &Relation{name: name, schema: NewSchema(attrs...), cols: cols, rows: rows}, nil
+}
+
+// inferColumn types one column from its raw fields: KindFloat when every
+// non-empty field parses as a float, KindString otherwise. The column is
+// allocated once; a float column is parsed once, and a column demoted on
+// a field that does not parse is refilled as strings in place.
+func inferColumn(fields *colBuf[string]) ([]Value, Kind) {
+	if fields.n == 0 {
+		return nil, KindFloat
+	}
+	col := make([]Value, fields.n)
+	i := 0
+	numeric := fields.each(func(f string) bool {
+		v, err := Parse(f, KindFloat)
+		col[i] = v
+		i++
+		return err == nil
+	})
+	if numeric {
+		return col, KindFloat
+	}
+	i = 0
+	fields.each(func(f string) bool {
+		col[i], _ = Parse(f, KindString) // cannot fail for KindString
+		i++
+		return true
+	})
+	return col, KindString
+}
+
+// colBuf buffers one column's cells in chunks. Each new chunk is as large
+// as all earlier ones together, clamped to [colChunkMin, colChunkMax], so
+// growing never copies the cells already held, and the unused tail is
+// never larger than the cells held or one minimum chunk. flatten then
+// copies the cells once into a slice of the final length.
+type colBuf[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+const (
+	colChunkMin = 64
+	colChunkMax = 1 << 14
+)
+
+func (b *colBuf[T]) push(v T) {
+	last := len(b.chunks) - 1
+	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
+		b.chunks = append(b.chunks, make([]T, 0, min(max(b.n, colChunkMin), colChunkMax)))
+		last++
+	}
+	b.chunks[last] = append(b.chunks[last], v)
+	b.n++
+}
+
+// each calls fn on the cells in order until fn returns false, and
+// reports whether every call returned true.
+func (b *colBuf[T]) each(fn func(T) bool) bool {
+	for _, chunk := range b.chunks {
+		for _, v := range chunk {
+			if !fn(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// flatten returns the cells as one exact-size slice (nil when empty).
+func (b *colBuf[T]) flatten() []T {
+	if b.n == 0 {
+		return nil
+	}
+	out := make([]T, 0, b.n)
+	for _, chunk := range b.chunks {
+		out = append(out, chunk...)
+	}
+	return out
 }
 
 // foldCR rewrites every run of '\r' directly before a '\n' in a field to
@@ -229,31 +343,18 @@ func checkFields(rec []string, lim Limits) error {
 // numeric becomes KindFloat, everything else stays KindString. It is the
 // single type-inference path shared by the deptool CLI and the server's
 // request decoder, so a relation posted to the server types identically
-// to the same bytes read from a file.
+// to the same bytes read from a file. The bytes are parsed once: kinds
+// are inferred from the buffered fields of each column.
 func ReadCSVAuto(name string, data []byte, lim Limits) (*Relation, error) {
 	if lim.MaxBytes > 0 && int64(len(data)) > lim.MaxBytes {
 		return nil, fmt.Errorf("relation: read CSV: %w",
 			&ErrInputTooLarge{What: "bytes", Limit: lim.MaxBytes, Got: int64(len(data))})
 	}
-	raw, err := ReadCSVLimits(name, bytes.NewReader(data), nil, lim)
-	if err != nil {
-		return nil, err
+	var src io.Reader = bytes.NewReader(data)
+	if lim.MaxBytes > 0 {
+		src = &limitedReader{src: src, max: lim.MaxBytes}
 	}
-	kinds := make([]Kind, raw.Cols())
-	for c := 0; c < raw.Cols(); c++ {
-		kinds[c] = KindFloat
-		for row := 0; row < raw.Rows(); row++ {
-			v := raw.Value(row, c)
-			if v.IsNull() {
-				continue
-			}
-			if _, err := Parse(v.Str(), KindFloat); err != nil {
-				kinds[c] = KindString
-				break
-			}
-		}
-	}
-	return ReadCSVLimits(name, bytes.NewReader(data), kinds, lim)
+	return readCSV(name, src, nil, true, lim)
 }
 
 // WriteCSV encodes the relation as CSV with a header record.

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -163,48 +164,88 @@ func (r *Relation) SortedIndex(cols []int) []int {
 	return idx
 }
 
-// Codes dictionary-encodes a column: equal values (in the Value.Equal sense)
-// receive equal small integer codes in first-appearance order. It returns
-// the code per row and the number of distinct codes. Partition construction
-// (TANE et al.) and counting-based measures (SFD strength, PFD probability)
-// all start from these codes.
+// Codes dictionary-encodes a column: values in the same grouping class
+// (see Value.Key) receive equal small integer codes in first-appearance
+// order. It returns the code per row and the number of distinct codes.
+// Partition construction (TANE et al.) and counting-based measures (SFD
+// strength, PFD probability) all start from these codes.
 func (r *Relation) Codes(col int) (codes []int, card int) {
 	codes = make([]int, r.rows)
-	dict := make(map[string]int)
+	d := coder{strs: make(map[string]int), nums: make(map[uint64]int)}
 	for i, v := range r.cols[col] {
-		k := v.Key()
-		c, ok := dict[k]
-		if !ok {
-			c = len(dict)
-			dict[k] = c
-		}
-		codes[i] = c
+		codes[i] = d.code(v)
 	}
-	return codes, len(dict)
+	return codes, d.n
 }
 
 // GroupCodes dictionary-encodes the concatenation of several columns:
-// rows with equal values on all listed columns share a code. It returns the
-// code per row and the number of distinct groups |dom(X)|_r.
+// rows with equal values on all listed columns share a code, assigned in
+// first-appearance order. It returns the code per row and the number of
+// distinct groups |dom(X)|_r. The columns are folded left to right:
+// each step codes the pair (codes so far, next column's code), which
+// keeps first-appearance order over the whole tuple.
 func (r *Relation) GroupCodes(cols []int) (codes []int, card int) {
-	codes = make([]int, r.rows)
-	dict := make(map[string]int)
-	var b strings.Builder
-	for i := 0; i < r.rows; i++ {
-		b.Reset()
-		for _, c := range cols {
-			b.WriteString(r.cols[c][i].Key())
-			b.WriteByte('\x1f')
-		}
-		k := b.String()
-		c, ok := dict[k]
-		if !ok {
-			c = len(dict)
-			dict[k] = c
-		}
-		codes[i] = c
+	if len(cols) == 0 {
+		return make([]int, r.rows), min(r.rows, 1)
 	}
-	return codes, len(dict)
+	codes, card = r.Codes(cols[0])
+	for _, c := range cols[1:] {
+		next, _ := r.Codes(c)
+		pairs := make(map[uint64]int, card)
+		for i, a := range codes {
+			k := uint64(a)<<32 | uint64(next[i])
+			code, ok := pairs[k]
+			if !ok {
+				code = len(pairs)
+				pairs[k] = code
+			}
+			codes[i] = code
+		}
+		card = len(pairs)
+	}
+	return codes, card
+}
+
+// coder assigns first-appearance codes to values by grouping class: one
+// class for every null, one per string payload, and one per numeric
+// float64 bit pattern with every NaN in a single class.
+type coder struct {
+	strs map[string]int
+	nums map[uint64]int
+	null int // 1 + the null class's code; 0 until a null is seen
+	n    int
+}
+
+func (d *coder) code(v Value) int {
+	switch {
+	case v.null:
+		if d.null == 0 {
+			d.n++
+			d.null = d.n
+		}
+		return d.null - 1
+	case v.kind == KindString:
+		return assignCode(d, d.strs, v.str)
+	default:
+		bits := math.Float64bits(v.num)
+		if v.num != v.num {
+			bits = nanBits
+		}
+		return assignCode(d, d.nums, bits)
+	}
+}
+
+// nanBits stands for every NaN payload in a coder's numeric classes.
+const nanBits = 0x7ff8000000000001
+
+func assignCode[K comparable](d *coder, m map[K]int, k K) int {
+	c, ok := m[k]
+	if !ok {
+		c = d.n
+		d.n++
+		m[k] = c
+	}
+	return c
 }
 
 // DistinctCount returns |dom(X)|_r, the number of distinct value

@@ -134,9 +134,15 @@ func (v Value) Compare(w Value) int {
 	return 0
 }
 
-// Key returns a canonical string usable as a map key for grouping by equal
-// values (dictionary encoding). Distinct in the Equal sense implies distinct
-// keys and vice versa.
+// Key returns a canonical string usable as a map key for grouping values
+// (dictionary encoding). Two values share a key exactly when they fall in
+// the same class: every null, whatever its kind, is one class; each string
+// payload is a class; and a numeric value's class is its float64, so Int(3)
+// and Float(3) share one. These classes follow Equal with two exceptions:
+// -0 and +0 are Equal but get distinct keys, and every NaN shares one key
+// although NaN is not Equal to itself. Codes and GroupCodes, the Appender's
+// chained fingerprint and the stream WAL's cell codec all group by these
+// classes.
 func (v Value) Key() string {
 	if v.null {
 		return "\x00null"
